@@ -25,11 +25,14 @@
 // so release builds pay nothing; with hooks compiled in but no auditor
 // attached the cost is one pointer test per probe.
 //
-// Thread safety mirrors ProbeOracle: per-player ledgers are owner-
-// written (the centralized phases parallelize OVER players), aggregate
-// counters are relaxed atomics, and the violation list takes a mutex
-// (violations are rare by construction). Round-mode state is only
-// touched by the single-threaded RoundScheduler.
+// Thread safety mirrors ProbeOracle: the per-player attempt and probe
+// ledgers are owner-written (the centralized phases parallelize OVER
+// players, so only the thread running player p bumps p's slots, with a
+// relaxed load+store and no RMW), and report() sums them at its serial
+// point. The read/post/round aggregates are relaxed atomics, and the
+// violation list takes a mutex (violations are rare by construction).
+// Round-mode state is only touched by the single-threaded
+// RoundScheduler.
 #pragma once
 
 #include <atomic>
@@ -119,12 +122,21 @@ class ProtocolAuditor {
   std::size_t players_;
   std::size_t objects_;
 
-  // A4 ledgers: deliberately NOT guarded by mu_ — attempts_[p] is
-  // owner-written (only the thread running player p, relaxed — see
-  // ProbeOracle), the aggregates are relaxed atomics read at serial
-  // points.
-  std::vector<std::atomic<std::uint64_t>> attempts_;
-  std::atomic<std::uint64_t> probes_{0};
+  /// Player p's A4 ledger: attempts charged and successful probes,
+  /// side by side so an audited probe touches one cache line.
+  struct PlayerLedger {
+    std::atomic<std::uint64_t> attempts{0};
+    std::atomic<std::uint64_t> probes{0};
+  };
+
+  // A4 ledgers: deliberately NOT guarded by mu_ — ledger_[p] is
+  // owner-written (only the thread running player p, relaxed
+  // load+store — see ProbeOracle::bump), summed at serial points. The
+  // aggregates are relaxed atomics read at serial points;
+  // stray_probes_ catches successful probes reported for players
+  // outside the ledger (never from ProbeOracle, which range-checks).
+  std::vector<PlayerLedger> ledger_;
+  std::atomic<std::uint64_t> stray_probes_{0};
   std::atomic<std::uint64_t> reads_{0};
   std::atomic<std::uint64_t> posts_{0};
   std::atomic<std::uint64_t> rounds_{0};

@@ -4,6 +4,15 @@
 #include <sstream>
 
 namespace tmwia::billboard {
+namespace {
+
+/// Owner-write increment: player p's slots have a single writer, so a
+/// relaxed load+store pair suffices (the ProbeOracle::bump protocol).
+void bump(std::atomic<std::uint64_t>& c) {
+  c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+}
+
+}  // namespace
 
 const char* to_string(AuditViolation::Kind kind) {
   switch (kind) {
@@ -40,7 +49,7 @@ std::string AuditReport::to_json() const {
 ProtocolAuditor::ProtocolAuditor(std::size_t players, std::size_t objects)
     : players_(players),
       objects_(objects),
-      attempts_(players),
+      ledger_(players),
       round_probe_count_(players, 0),
       probed_this_round_(players, bits::BitVector(objects)),
       posted_(players, bits::BitVector(objects)) {}
@@ -77,12 +86,16 @@ void ProtocolAuditor::end_round() {
 }
 
 void ProtocolAuditor::on_probe_attempt(matrix::PlayerId p) {
-  if (p < players_) attempts_[p].fetch_add(1, std::memory_order_relaxed);
+  if (p < players_) bump(ledger_[p].attempts);
 }
 
 void ProtocolAuditor::on_probe(matrix::PlayerId p, matrix::ObjectId o) {
-  probes_.fetch_add(1, std::memory_order_relaxed);
-  if (!round_active_ || p >= players_ || o >= objects_) return;
+  if (p >= players_) {
+    stray_probes_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  bump(ledger_[p].probes);
+  if (!round_active_ || o >= objects_) return;
   // A1: one successful probe per player per round. Transient failures
   // retried within the round are the same probe resent (they land in
   // the attempt ledger, not here).
@@ -112,9 +125,9 @@ void ProtocolAuditor::on_read(matrix::PlayerId p, matrix::ObjectId o) {
 }
 
 void ProtocolAuditor::verify_invocations(const std::vector<std::uint64_t>& expected) {
-  const std::size_t n = std::min(expected.size(), attempts_.size());
+  const std::size_t n = std::min(expected.size(), ledger_.size());
   for (std::size_t p = 0; p < n; ++p) {
-    const auto audited = attempts_[p].load(std::memory_order_relaxed);
+    const auto audited = ledger_[p].attempts.load(std::memory_order_relaxed);
     if (audited != expected[p]) {
       record({AuditViolation::Kind::kCostMismatch, static_cast<matrix::PlayerId>(p), 0,
               round_,
@@ -122,9 +135,9 @@ void ProtocolAuditor::verify_invocations(const std::vector<std::uint64_t>& expec
                   std::to_string(expected[p])});
     }
   }
-  if (expected.size() != attempts_.size()) {
+  if (expected.size() != ledger_.size()) {
     record({AuditViolation::Kind::kCostMismatch, 0, 0, round_,
-            "ledger size mismatch: audited " + std::to_string(attempts_.size()) +
+            "ledger size mismatch: audited " + std::to_string(ledger_.size()) +
                 " players, expected " + std::to_string(expected.size())});
   }
 }
@@ -132,8 +145,8 @@ void ProtocolAuditor::verify_invocations(const std::vector<std::uint64_t>& expec
 void ProtocolAuditor::verify_totals(std::uint64_t total_probes, std::uint64_t rounds) {
   std::uint64_t total = 0;
   std::uint64_t mx = 0;
-  for (const auto& a : attempts_) {
-    const auto v = a.load(std::memory_order_relaxed);
+  for (const auto& l : ledger_) {
+    const auto v = l.attempts.load(std::memory_order_relaxed);
     total += v;
     mx = std::max(mx, v);
   }
@@ -152,7 +165,8 @@ void ProtocolAuditor::verify_totals(std::uint64_t total_probes, std::uint64_t ro
 AuditReport ProtocolAuditor::report() const {
   AuditReport r;
   r.rounds_audited = rounds_.load(std::memory_order_relaxed);
-  r.probes_audited = probes_.load(std::memory_order_relaxed);
+  r.probes_audited = stray_probes_.load(std::memory_order_relaxed);
+  for (const auto& l : ledger_) r.probes_audited += l.probes.load(std::memory_order_relaxed);
   r.reads_audited = reads_.load(std::memory_order_relaxed);
   r.posts_audited = posts_.load(std::memory_order_relaxed);
   const support::MutexLock lock(mu_);
@@ -161,8 +175,11 @@ AuditReport ProtocolAuditor::report() const {
 }
 
 void ProtocolAuditor::reset() {
-  for (auto& a : attempts_) a.store(0, std::memory_order_relaxed);
-  probes_.store(0, std::memory_order_relaxed);
+  for (auto& l : ledger_) {
+    l.attempts.store(0, std::memory_order_relaxed);
+    l.probes.store(0, std::memory_order_relaxed);
+  }
+  stray_probes_.store(0, std::memory_order_relaxed);
   reads_.store(0, std::memory_order_relaxed);
   posts_.store(0, std::memory_order_relaxed);
   rounds_.store(0, std::memory_order_relaxed);

@@ -3,11 +3,16 @@
 // The paper's model is n players acting in lockstep rounds. Inside one
 // logical phase the players' computations are independent (they read
 // the billboard snapshot from the previous phase, probe, and post), so
-// we execute per-player work with a work-stealing-free static-chunked
-// parallel_for over a shared thread pool. Determinism: the work
-// function receives the player index and must draw randomness only from
-// streams split by that index, so results are independent of thread
-// scheduling.
+// we execute per-player work with a chunked parallel_for over a shared
+// thread pool. The range is cut into fixed chunks of `grain` indices;
+// the calling thread and at most thread_count() pool tasks claim chunk
+// indices from one shared atomic cursor until none are left, so the
+// caller works beside the pool instead of parking, and a call costs at
+// most thread_count() task submissions however many chunks it has. The
+// caller returns once every claimed chunk has finished. Determinism:
+// the work function receives the player index and must draw randomness
+// only from streams split by that index, so results are independent of
+// which thread runs which chunk.
 #pragma once
 
 #include <cstddef>
@@ -70,19 +75,22 @@ bool set_global_threads(std::size_t threads);
 
 namespace detail {
 
-/// Chunked pool dispatch behind parallel_for; the type-erased body is
-/// constructed once per parallel_for call (not per element).
+/// Chunked pool dispatch behind parallel_for: the caller and up to
+/// min(thread_count(), chunks - 1) pool tasks drain a shared chunk
+/// cursor. The type-erased body is constructed once per parallel_for
+/// call (not per element), and no task is allocated per chunk.
 void parallel_for_chunks(std::size_t begin, std::size_t end,
                          const std::function<void(std::size_t)>& body, std::size_t grain);
 
 }  // namespace detail
 
-/// Run body(i) for i in [begin, end) across the pool in fixed chunks.
-/// Blocks until complete. Exceptions in body are rethrown (first one
-/// wins). Falls back to serial execution for tiny ranges and
-/// single-thread pools — inlined here so the per-element calls carry no
-/// type-erasure cost on that path (per-player loops run tens of
-/// millions of elements).
+/// Run body(i) for i in [begin, end) across the pool and the calling
+/// thread in fixed chunks. Blocks until complete. Exceptions in body
+/// are rethrown (first one wins; chunks not yet started are skipped).
+/// Falls back to serial execution for tiny ranges and single-thread
+/// pools — inlined here so the per-element calls carry no type-erasure
+/// cost on that path (per-player loops run tens of millions of
+/// elements).
 template <typename Body>
 void parallel_for(std::size_t begin, std::size_t end, const Body& body,
                   std::size_t grain = 64) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <memory>
 
 #include "tmwia/bits/kernels.hpp"
 #include "tmwia/obs/profile.hpp"
@@ -84,58 +85,110 @@ void ThreadPool::worker_loop() {
   }
 }
 
+namespace {
+
+/// One parallel_for call's shared state. The caller and at most
+/// thread_count() pool tasks claim chunk indices from `next_` until it
+/// passes `chunks_`; the caller returns once every claimed chunk is
+/// done. A task the pool starts after that finds the cursor exhausted
+/// and touches nothing but this block, so the block is shared-owned by
+/// the caller and its tasks rather than living on the caller's stack.
+class Fork {
+ public:
+  Fork(std::size_t begin, std::size_t end, std::size_t grain, std::size_t chunks,
+       const std::function<void(std::size_t)>& body)
+      : begin_(begin), end_(end), grain_(grain), chunks_(chunks), body_(&body) {}
+  Fork(const Fork&) = delete;
+  Fork& operator=(const Fork&) = delete;
+
+  /// Claim and run chunks until none are left. After the first error
+  /// the remaining chunks are claimed and counted but not run.
+  void work() {
+    for (;;) {
+      const std::size_t c = next_.fetch_add(1, std::memory_order_relaxed);
+      if (c >= chunks_) return;
+      if (!failed_.load(std::memory_order_relaxed)) {
+        const std::size_t lo = begin_ + c * grain_;
+        const std::size_t hi = std::min(end_, lo + grain_);
+        try {
+          for (std::size_t i = lo; i < hi; ++i) (*body_)(i);
+        } catch (...) {
+          failed_.store(true, std::memory_order_relaxed);
+          const MutexLock lk(mu_);
+          if (!first_error_) first_error_ = std::current_exception();
+        }
+      }
+      // acq_rel: the chunk's writes happen-before the caller's return.
+      if (done_.fetch_add(1, std::memory_order_acq_rel) + 1 == chunks_) {
+        const MutexLock lk(mu_);
+        finished_ = true;
+        cv_.notify_all();
+      }
+    }
+  }
+
+  /// Caller side: block until every chunk is done; the first error
+  /// any chunk threw (first one wins), or null.
+  std::exception_ptr join() {
+    if (done_.load(std::memory_order_acquire) != chunks_) {
+      MutexLock lk(mu_);
+      while (!finished_) cv_.wait(lk);
+    }
+    if (!failed_.load(std::memory_order_relaxed)) return nullptr;
+    const MutexLock lk(mu_);
+    return first_error_;
+  }
+
+ private:
+  const std::size_t begin_;
+  const std::size_t end_;
+  const std::size_t grain_;
+  const std::size_t chunks_;
+  /// Dereferenced only for a claimed chunk, and the caller (who owns
+  /// the body) outlives every claimed chunk.
+  const std::function<void(std::size_t)>* body_;
+  std::atomic<std::size_t> next_{0};
+  std::atomic<std::size_t> done_{0};
+  std::atomic<bool> failed_{false};
+  Mutex mu_;
+  CondVar cv_;
+  bool finished_ TMWIA_GUARDED_BY(mu_) = false;
+  std::exception_ptr first_error_ TMWIA_GUARDED_BY(mu_);
+};
+
+}  // namespace
+
 void detail::parallel_for_chunks(std::size_t begin, std::size_t end,
                                  const std::function<void(std::size_t)>& body,
                                  std::size_t grain) {
-  const std::size_t n = end - begin;
   auto& pool = ThreadPool::global();
   // Backend reselection during a phase would hand different workers
   // different kernel vtables; the gate turns that misuse into a loud
   // error at the set_backend call site.
   const bits::kernels::ParallelPhaseGuard kernel_gate;
 
-  const std::size_t chunks = (n + grain - 1) / grain;
-  // All join state lives behind one annotated mutex; the earlier
-  // split (error mutex + bare-atomic completion count read outside any
-  // lock) is exactly the shape the thread-safety analysis rejects.
-  struct Join {
-    Mutex mu;
-    CondVar cv;
-    std::size_t done TMWIA_GUARDED_BY(mu) = 0;
-    std::exception_ptr first_error TMWIA_GUARDED_BY(mu);
-  } join;
-  std::atomic<bool> failed{false};  // advisory skip flag only
+  // The caller runs chunks too, so one fewer task than chunks is
+  // enough help, and more than one per worker would only queue.
+  const std::size_t chunks = (end - begin + grain - 1) / grain;
+  const std::size_t helpers = std::min(pool.thread_count(), chunks - 1);
+  const auto fork = std::make_shared<Fork>(begin, end, grain, chunks, body);
 
   // Ambient profile zone: costs deposited inside parallelized player
   // loops attribute to the phase that spawned them, not to an
-  // anonymous worker root. Workers swap the caller's zone in for the
-  // chunk and restore their own afterwards.
+  // anonymous worker root. Workers swap the caller's zone in for their
+  // share and restore their own afterwards; the caller's chunks land
+  // there already.
   const obs::Profiler::ZoneId ambient_zone = obs::Profiler::current_zone();
-
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = begin + c * grain;
-    const std::size_t hi = std::min(end, lo + grain);
-    pool.submit([&, lo, hi, ambient_zone] {
+  for (std::size_t h = 0; h < helpers; ++h) {
+    pool.submit([fork, ambient_zone] {
       const obs::Profiler::ZoneId prev_zone = obs::Profiler::swap_current_zone(ambient_zone);
-      std::exception_ptr err;
-      try {
-        if (!failed.load(std::memory_order_relaxed)) {
-          for (std::size_t i = lo; i < hi; ++i) body(i);
-        }
-      } catch (...) {
-        failed.store(true, std::memory_order_relaxed);
-        err = std::current_exception();
-      }
+      fork->work();
       obs::Profiler::swap_current_zone(prev_zone);
-      MutexLock lk(join.mu);
-      if (err && !join.first_error) join.first_error = err;
-      if (++join.done == chunks) join.cv.notify_all();
     });
   }
 
-  MutexLock lk(join.mu);
-  while (join.done != chunks) join.cv.wait(lk);
-  if (join.first_error) std::rethrow_exception(join.first_error);
+  fork->work();
+  if (const std::exception_ptr err = fork->join()) std::rethrow_exception(err);
 }
 
 }  // namespace tmwia::engine

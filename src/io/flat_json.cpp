@@ -1,14 +1,34 @@
 #include "tmwia/io/flat_json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <stdexcept>
+#include <system_error>
 
 namespace tmwia::io {
 namespace {
 
 [[noreturn]] void fail(std::size_t pos, const std::string& what) {
   throw std::invalid_argument("flat json: " + what + " at offset " + std::to_string(pos));
+}
+
+/// Parse a whole number token into T, or throw std::invalid_argument
+/// naming the field: "not an integer"/"not a number" when the token
+/// does not parse in full, "out of range" when T cannot hold it.
+template <typename T>
+T parse_number(const std::string& key, const std::string& text, const char* kind) {
+  T value{};
+  const char* const first = text.data();
+  const char* const last = first + text.size();
+  const auto [ptr, ec] = std::from_chars(first, last, value);
+  if (ec == std::errc::result_out_of_range) {
+    throw std::invalid_argument("flat json: field \"" + key + "\" is out of range");
+  }
+  if (ec != std::errc{} || ptr != last) {
+    throw std::invalid_argument("flat json: field \"" + key + "\" is not " + kind);
+  }
+  return value;
 }
 
 void skip_ws(std::string_view s, std::size_t& i) {
@@ -148,12 +168,7 @@ std::int64_t FlatJson::get_int(const std::string& key, std::int64_t def) const {
   if (v->kind != Kind::kNumber) {
     throw std::invalid_argument("flat json: field \"" + key + "\" is not a number");
   }
-  std::size_t pos = 0;
-  const auto parsed = std::stoll(v->text, &pos);
-  if (pos != v->text.size()) {
-    throw std::invalid_argument("flat json: field \"" + key + "\" is not an integer");
-  }
-  return parsed;
+  return parse_number<std::int64_t>(key, v->text, "an integer");
 }
 
 std::uint64_t FlatJson::get_u64(const std::string& key, std::uint64_t def) const {
@@ -162,12 +177,7 @@ std::uint64_t FlatJson::get_u64(const std::string& key, std::uint64_t def) const
   if (v->kind != Kind::kNumber) {
     throw std::invalid_argument("flat json: field \"" + key + "\" is not a number");
   }
-  std::size_t pos = 0;
-  const auto parsed = std::stoull(v->text, &pos);
-  if (pos != v->text.size()) {
-    throw std::invalid_argument("flat json: field \"" + key + "\" is not an integer");
-  }
-  return parsed;
+  return parse_number<std::uint64_t>(key, v->text, "an unsigned integer");
 }
 
 double FlatJson::get_double(const std::string& key, double def) const {
@@ -176,7 +186,7 @@ double FlatJson::get_double(const std::string& key, double def) const {
   if (v->kind != Kind::kNumber) {
     throw std::invalid_argument("flat json: field \"" + key + "\" is not a number");
   }
-  return std::stod(v->text);
+  return parse_number<double>(key, v->text, "a number");
 }
 
 bool FlatJson::get_bool(const std::string& key, bool def) const {

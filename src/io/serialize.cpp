@@ -3,6 +3,7 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -28,6 +29,24 @@ std::uint64_t read_u64(std::istream& is) {
   return v;
 }
 
+/// Player and object ids are 32-bit; larger declared dimensions can
+/// never be backed by a real payload.
+void check_dims(std::uint64_t n, std::uint64_t m) {
+  constexpr std::uint64_t kMaxIds =
+      std::uint64_t{std::numeric_limits<matrix::PlayerId>::max()} + 1;
+  if (n > kMaxIds || m > kMaxIds) {
+    throw std::runtime_error("serialize: dimensions " + std::to_string(n) + " x " +
+                             std::to_string(m) + " exceed the 32-bit id range");
+  }
+}
+
+/// Rows read so far become the matrix. Rows are allocated one at a
+/// time as the payload supplies them, never from the declared count.
+matrix::PreferenceMatrix assemble(std::vector<bits::BitVector> rows, std::size_t m) {
+  if (rows.empty()) return matrix::PreferenceMatrix(0, m);
+  return matrix::PreferenceMatrix(std::move(rows));
+}
+
 std::string read_line(std::istream& is, const char* what) {
   std::string line;
   if (!std::getline(is, line)) {
@@ -50,16 +69,17 @@ matrix::PreferenceMatrix load_matrix_text(std::istream& is) {
     throw std::runtime_error("serialize: bad text header");
   }
   std::istringstream dims(read_line(is, "dimensions"));
-  std::size_t n = 0, m = 0;
+  std::uint64_t n = 0, m = 0;
   if (!(dims >> n >> m)) throw std::runtime_error("serialize: bad dimensions");
+  check_dims(n, m);
 
-  matrix::PreferenceMatrix out(n, m);
-  for (std::size_t p = 0; p < n; ++p) {
+  std::vector<bits::BitVector> rows;
+  for (std::uint64_t p = 0; p < n; ++p) {
     const auto line = read_line(is, "row");
     if (line.size() != m) throw std::runtime_error("serialize: row length mismatch");
-    out.row(static_cast<matrix::PlayerId>(p)) = bits::BitVector::from_string(line);
+    rows.push_back(bits::BitVector::from_string(line));
   }
-  return out;
+  return assemble(std::move(rows), m);
 }
 
 void save_matrix_binary(const matrix::PreferenceMatrix& m, std::ostream& os) {
@@ -79,19 +99,20 @@ matrix::PreferenceMatrix load_matrix_binary(std::istream& is) {
   }
   const auto n = read_u64(is);
   const auto m = read_u64(is);
-  matrix::PreferenceMatrix out(n, m);
+  check_dims(n, m);
+  // A row of no objects has no payload to back it.
+  if (n != 0 && m == 0) throw std::runtime_error("serialize: players with no objects");
   const auto words = bits::BitVector::word_count(m);
+  std::vector<bits::BitVector> rows;
+  std::vector<std::uint64_t> row_words;
   for (std::uint64_t p = 0; p < n; ++p) {
-    auto& row = out.row(static_cast<matrix::PlayerId>(p));
-    for (std::size_t w = 0; w < words; ++w) {
-      const auto word = read_u64(is);
-      for (int b = 0; b < 64; ++b) {
-        const std::size_t o = w * 64 + static_cast<std::size_t>(b);
-        if (o < m && ((word >> b) & 1u)) row.set(o, true);
-      }
-    }
+    row_words.clear();
+    for (std::size_t w = 0; w < words; ++w) row_words.push_back(read_u64(is));
+    bits::BitVector row(m);  // set_word drops bits past m
+    for (std::size_t w = 0; w < words; ++w) row.set_word(w, row_words[w]);
+    rows.push_back(std::move(row));
   }
-  return out;
+  return assemble(std::move(rows), m);
 }
 
 void save_instance(const matrix::Instance& inst, std::ostream& os) {
@@ -151,7 +172,6 @@ std::vector<bits::BitVector> load_outputs(std::istream& is) {
     throw std::runtime_error("serialize: bad outputs header");
   }
   std::vector<bits::BitVector> out;
-  out.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     out.push_back(bits::BitVector::from_string(read_line(is, "output row")));
   }

@@ -143,6 +143,12 @@ expect_exit 2 "$CLI" frobnicate
 expect_exit 2 "$CLI" run --in="$DIR/world.tmw" --algo=solo --bogus=1 --out=/dev/null
 expect_exit 2 "$CLI" run --in="$DIR/world.tmw" --algo=nonsense --out=/dev/null
 expect_exit 1 "$CLI" info --in="$DIR/missing.tmw"
+# A header that declares more than the payload holds is a malformed
+# file like any other: a serialize error and exit 1, never bad_alloc.
+printf 'TMWIA/1 text\n4000000000 4000000000\n' >"$DIR/huge.tmw"
+expect_exit 1 "$CLI" info --in="$DIR/huge.tmw"
+"$CLI" info --in="$DIR/huge.tmw" 2>"$DIR/huge.err" >/dev/null || true
+grep -q "serialize:" "$DIR/huge.err"
 
 # 3: replay audit failure. Tamper the recorded run_end totals; the
 # replayer's cross-check must notice.

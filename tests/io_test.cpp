@@ -1,9 +1,14 @@
-// Tests for the io module: table rendering, CSV output, arg parsing.
+// Tests for the io module: table rendering, CSV output, arg parsing,
+// and FlatJson's typed number accessors.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "tmwia/io/args.hpp"
+#include "tmwia/io/flat_json.hpp"
 #include "tmwia/io/table.hpp"
 
 namespace tmwia::io {
@@ -70,6 +75,46 @@ TEST(Args, SeedParsesLargeValues) {
   const char* argv[] = {"prog", "--seed=18446744073709551615"};
   Args a(2, argv);
   EXPECT_EQ(a.get_seed("seed", 0), 18446744073709551615ull);
+}
+
+TEST(FlatJson, NumbersParseAcrossTheirFullRange) {
+  const auto j = FlatJson::parse(
+      R"({"u":18446744073709551615,"i":-9223372036854775808,"d":0.25,"e":1e3})");
+  EXPECT_EQ(j.get_u64("u", 0), 18446744073709551615ull);
+  EXPECT_EQ(j.get_int("i", 0), INT64_MIN);
+  EXPECT_DOUBLE_EQ(j.get_double("d", 0), 0.25);
+  EXPECT_DOUBLE_EQ(j.get_double("e", 0), 1000.0);
+}
+
+/// The accessor must throw std::invalid_argument whose message names
+/// the field and says `what` — never the library call that failed.
+void expect_field_error(const std::function<void()>& read, const std::string& field,
+                        const std::string& what) {
+  try {
+    read();
+    ADD_FAILURE() << "no error for field " << field;
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("\"" + field + "\""), std::string::npos) << msg;
+    EXPECT_NE(msg.find(what), std::string::npos) << msg;
+  }
+}
+
+TEST(FlatJson, OutOfRangeNumbersAreTypedErrors) {
+  const auto j = FlatJson::parse(
+      R"({"u":18446744073709551616,"i":9223372036854775808,"d":1e999})");
+  expect_field_error([&] { (void)j.get_u64("u", 0); }, "u", "out of range");
+  expect_field_error([&] { (void)j.get_int("i", 0); }, "i", "out of range");
+  expect_field_error([&] { (void)j.get_double("d", 0); }, "d", "out of range");
+}
+
+TEST(FlatJson, MalformedNumbersAreTypedErrors) {
+  // A negative never wraps into an unsigned; a number must parse whole.
+  const auto j = FlatJson::parse(R"({"neg":-1,"frac":1.5,"junk":1.5-3,"sign":+2})");
+  expect_field_error([&] { (void)j.get_u64("neg", 0); }, "neg", "not an unsigned integer");
+  expect_field_error([&] { (void)j.get_int("frac", 0); }, "frac", "not an integer");
+  expect_field_error([&] { (void)j.get_double("junk", 0); }, "junk", "not a number");
+  expect_field_error([&] { (void)j.get_u64("sign", 0); }, "sign", "not an unsigned integer");
 }
 
 }  // namespace

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "tmwia/io/serialize.hpp"
 #include "tmwia/matrix/generators.hpp"
@@ -41,6 +44,57 @@ TEST(SerializeText, RejectsRowLengthMismatch) {
 TEST(SerializeText, RejectsTruncated) {
   std::stringstream ss("TMWIA/1 text\n3 4\n0101\n");
   EXPECT_THROW(load_matrix_text(ss), std::runtime_error);
+}
+
+/// Malformed input fails as a "serialize:" runtime_error — never a
+/// bad_alloc or length_error from sizing buffers off a declared count.
+void expect_serialize_error(const std::function<void()>& load) {
+  try {
+    load();
+    ADD_FAILURE() << "malformed input accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("serialize:", 0), 0u) << e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "untyped failure: " << e.what();
+  }
+}
+
+TEST(SerializeText, HugeDeclaredDimensionsFailOnMissingRows) {
+  std::stringstream ss("TMWIA/1 text\n4000000000 4000000000\n");
+  expect_serialize_error([&] { (void)load_matrix_text(ss); });
+  std::stringstream wide("TMWIA/1 text\n2 4000000000\n0101\n");
+  expect_serialize_error([&] { (void)load_matrix_text(wide); });
+  std::stringstream beyond("TMWIA/1 text\n99999999999 4\n0101\n");
+  expect_serialize_error([&] { (void)load_matrix_text(beyond); });
+}
+
+TEST(SerializeText, ZeroPlayersKeepDeclaredObjects) {
+  std::stringstream ss("TMWIA/1 text\n0 5\n");
+  const auto m = load_matrix_text(ss);
+  EXPECT_EQ(m.players(), 0u);
+  EXPECT_EQ(m.objects(), 5u);
+}
+
+/// A binary matrix stream: magic, dimensions, then `payload_words`
+/// zero words.
+std::string binary_stream(std::uint64_t n, std::uint64_t m, std::size_t payload_words) {
+  std::string s = "TMWIA/1 bin";
+  for (const std::uint64_t v : {n, m}) {
+    for (int i = 0; i < 8; ++i) s.push_back(static_cast<char>(v >> (8 * i)));
+  }
+  s.append(payload_words * 8, '\0');
+  return s;
+}
+
+TEST(SerializeBinary, HugeDeclaredDimensionsFailOnTruncatedPayload) {
+  for (const auto& bytes : {binary_stream(4000000000, 4000000000, 0),
+                            binary_stream(3, 4000000000, 5),
+                            binary_stream(4000000000, 64, 7),
+                            binary_stream(4000000000, 0, 0),
+                            binary_stream(~std::uint64_t{0}, ~std::uint64_t{0}, 0)}) {
+    std::stringstream ss(bytes);
+    expect_serialize_error([&] { (void)load_matrix_binary(ss); });
+  }
 }
 
 TEST(SerializeBinary, RoundTrip) {
@@ -86,6 +140,11 @@ TEST(SerializeOutputs, RoundTrip) {
   std::stringstream ss;
   save_outputs(outs, ss);
   EXPECT_EQ(load_outputs(ss), outs);
+}
+
+TEST(SerializeOutputs, HugeDeclaredCountFailsOnMissingRows) {
+  std::stringstream ss("outputs 18446744073709551615\n0101\n");
+  expect_serialize_error([&] { (void)load_outputs(ss); });
 }
 
 TEST(SerializeFile, SniffsTextAndBinary) {

@@ -111,6 +111,33 @@ TEST(ServeProtocol, RejectsMalformedRequests) {
   EXPECT_THROW(serve::parse_request("recommend a 3"), std::invalid_argument);
 }
 
+TEST(ServeProtocol, PlayerBeyondIdRangeIsRejectedNotTruncated) {
+  // 4294967299 = 2^32 + 3 once truncated to player 3's answer.
+  for (const char* op : {"recommend", "estimate"}) {
+    const std::string line = std::string(R"({"op":")") + op +
+                             R"(","tenant":"a","player":4294967299})";
+    try {
+      (void)serve::parse_request(line);
+      ADD_FAILURE() << op << ": out-of-range player accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'player'"), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_EQ(serve::parse_request(R"({"op":"estimate","tenant":"a","player":4294967295})").player,
+            4294967295u);
+}
+
+TEST(ServeProtocol, OutOfRangeNumberNamesTheField) {
+  try {
+    (void)serve::parse_request(R"({"op":"refine","tenant":"a","epochs":99999999999999999999})");
+    ADD_FAILURE() << "out-of-range epochs accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("\"epochs\" is out of range"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("stoull"), std::string::npos) << msg;
+  }
+}
+
 TEST(ServeProtocol, ResponseJsonCarriesViewAndItems) {
   serve::Response r;
   r.op = "recommend";

@@ -1,5 +1,7 @@
 // Thread-safety stress tests for the concurrently-used structures:
-// Billboard's posting surface and the MetricsRegistry shard merge.
+// Billboard's posting surface, the MetricsRegistry shard merge, and
+// the audited probe path (ProbeOracle + ProtocolAuditor ledgers under
+// the engine pool).
 //
 // These tests are most valuable under ThreadSanitizer (run_tests.sh
 // --tsan builds and runs them there), but they also assert a functional
@@ -17,8 +19,12 @@
 #include <vector>
 
 #include "tmwia/billboard/billboard.hpp"
+#include "tmwia/billboard/probe_oracle.hpp"
+#include "tmwia/billboard/protocol_auditor.hpp"
 #include "tmwia/bits/bitvector.hpp"
 #include "tmwia/bits/kernels.hpp"
+#include "tmwia/engine/thread_pool.hpp"
+#include "tmwia/matrix/generators.hpp"
 #include "tmwia/matrix/ids.hpp"
 #include "tmwia/obs/metrics.hpp"
 #include "tmwia/rng/rng.hpp"
@@ -127,6 +133,52 @@ TEST(ThreadSafety, ConcurrentMetricShardsMergeToSerialSnapshot) {
   for (std::uint64_t i = 0; i < 2000; ++i) ops_per_thread += i % 7;
   EXPECT_EQ(got.counter("ops"), ops_per_thread * kThreads);
 }
+
+#if TMWIA_AUDIT
+/// Player p's share of the audited workload: a deterministic object
+/// sequence with repeats, through both probe entry points.
+void audited_player_work(tmwia::billboard::ProbeOracle& oracle, PlayerId p) {
+  for (std::size_t k = 0; k < 3 * kObjects; ++k) {
+    const auto o = static_cast<tmwia::matrix::ObjectId>((p * 7 + k * 13) % kObjects);
+    (void)oracle.probe(p, o);
+    if (k % 5 == 0) (void)oracle.probed_value(p, o);
+  }
+}
+
+/// The auditor's per-player ledgers are owner-written: pool threads
+/// probing distinct players must leave exactly the serial run's
+/// report and A4 ledger.
+TEST(ThreadSafety, AuditedProbesUnderPoolMatchSerial) {
+  const std::size_t players = kThreads * kPlayersPerThread;
+  tmwia::rng::Rng rng(0xa0d17);
+  const auto truth = tmwia::matrix::uniform_random(players, kObjects, rng).matrix;
+
+  const auto audited_run = [&](bool pooled) {
+    tmwia::billboard::ProbeOracle oracle(truth);
+    tmwia::billboard::ProtocolAuditor auditor(players, kObjects);
+    oracle.set_auditor(&auditor);
+    const auto work = [&](std::size_t p) {
+      audited_player_work(oracle, static_cast<PlayerId>(p));
+    };
+    if (pooled) {
+      tmwia::engine::parallel_for(0, players, work, 4);  // many small chunks
+    } else {
+      for (std::size_t p = 0; p < players; ++p) work(p);
+    }
+    auditor.verify_invocations(oracle.snapshot());
+    auditor.verify_totals(oracle.total_invocations(), oracle.max_invocations());
+    return auditor.report();
+  };
+
+  const auto serial = audited_run(false);
+  EXPECT_TRUE(serial.clean()) << serial.to_json();
+  EXPECT_EQ(serial.probes_audited, players * 3 * kObjects);
+  for (int rep = 0; rep < 4; ++rep) {
+    const auto pooled = audited_run(true);
+    EXPECT_EQ(pooled.to_json(), serial.to_json());
+  }
+}
+#endif
 
 TEST(ThreadSafety, SetBackendRejectedDuringParallelPhase) {
   namespace kernels = tmwia::bits::kernels;

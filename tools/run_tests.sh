@@ -38,7 +38,11 @@
 #              (tools/serve_requests.sample.jsonl), jq-check every
 #              response line's shape, and verify the exit-code contract:
 #              0 for a clean stream, 2 when a request fails to parse or
-#              dispatch, 4 when a tenant ends the stream degraded
+#              dispatch, 4 when a tenant ends the stream degraded; then
+#              replay tools/serve_requests.threads.jsonl (an n=m=256
+#              tenant, so refine runs pool chunks) at --threads 1 and 4
+#              and require byte-identical responses (minus latency_us)
+#              and --prof trees
 #   telemetry  default: the observability contract — replay the sample
 #              serve stream with --telemetry/--slo/--prof and jq-check
 #              the JSONL record kinds, the Prometheus exposition, the
@@ -322,6 +326,27 @@ if [[ $RUN_SERVE -eq 1 ]]; then
   jq -e -s 'all(.[]; .ok) and (.[-1].degraded == true) and (.[-1].staleness >= 1)' \
     "$SERVE_DIR/deg.jsonl" >/dev/null \
     || { echo "serve: degraded responses not marked" >&2; exit 1; }
+
+  echo "-- out-of-range player: exit 2, typed error naming the field"
+  rc=0
+  printf '%s\n' '{"op":"recommend","tenant":"demo","player":4294967299}' \
+    | "$CLI" serve --requests=- --out="$SERVE_DIR/range.jsonl" || rc=$?
+  [[ $rc -eq 2 ]] || { echo "serve: expected exit 2 for out-of-range player, got $rc" >&2; exit 1; }
+  jq -e '.ok == false and (.error | contains("player"))' "$SERVE_DIR/range.jsonl" >/dev/null \
+    || { echo "serve: out-of-range player not rejected by name" >&2; exit 1; }
+
+  echo "-- thread parity: pool-chunked refine, --threads 1/4"
+  for t in 1 4; do
+    "$CLI" serve --requests="$ROOT/tools/serve_requests.threads.jsonl" --threads="$t" \
+      --out="$SERVE_DIR/par_t$t.jsonl" --prof="$SERVE_DIR/par_prof_t$t.json"
+    sed 's/,"latency_us":[^,}]*//' "$SERVE_DIR/par_t$t.jsonl" >"$SERVE_DIR/par_t$t.norm.jsonl"
+  done
+  jq -e -s 'all(.[]; .ok) and ([.[] | select(.op == "stats" and .players == 256)] | length == 1)' \
+    "$SERVE_DIR/par_t4.norm.jsonl" >/dev/null \
+    || { echo "serve: thread-parity stream failed or lost its n=256 tenant" >&2; exit 1; }
+  cmp "$SERVE_DIR/par_t1.norm.jsonl" "$SERVE_DIR/par_t4.norm.jsonl"
+  cmp "$SERVE_DIR/par_prof_t1.json" "$SERVE_DIR/par_prof_t4.json"
+  echo "-- --threads 1/4: responses and attribution trees match"
 
   rm -rf "$SERVE_DIR"
 fi
