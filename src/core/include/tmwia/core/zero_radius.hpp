@@ -73,15 +73,10 @@ struct ZeroRadiusSplit {
 
 inline ZeroRadiusSplit zero_radius_node_split(std::size_t n_players, std::size_t n_objects,
                                               const rng::Rng& rng, std::uint64_t node_tag) {
-  auto index_list = [](std::size_t n) {
-    std::vector<std::uint32_t> v(n);
-    for (std::size_t i = 0; i < n; ++i) v[i] = static_cast<std::uint32_t>(i);
-    return v;
-  };
   rng::Rng split_rng = rng.split(node_tag, 0x5eed);
   ZeroRadiusSplit s;
-  std::tie(s.p1, s.p2) = rng::random_half_split(index_list(n_players), split_rng);
-  std::tie(s.o1, s.o2) = rng::random_half_split(index_list(n_objects), split_rng);
+  std::tie(s.p1, s.p2) = rng::random_half_split(n_players, split_rng);
+  std::tie(s.o1, s.o2) = rng::random_half_split(n_objects, split_rng);
   return s;
 }
 

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -28,13 +29,16 @@ namespace tmwia::core {
 
 class ZeroRadiusStrategy final : public billboard::PlayerStrategy {
  public:
-  /// `self` must appear in `players`. `shared_rng` is the common-coins
-  /// stream (same value for every player and for the centralized run
-  /// being compared against). `channel_prefix` namespaces the billboard
-  /// channels of this execution.
-  ZeroRadiusStrategy(PlayerId self, std::vector<PlayerId> players,
-                     std::vector<std::uint32_t> objects, double alpha, const Params& params,
-                     const rng::Rng& shared_rng, std::string channel_prefix = "dzr");
+  /// `self` must appear in `players`; `objects` must be ascending, so
+  /// that every node's object list is the merge of its two children's.
+  /// `shared_rng` is the common-coins stream (same value for every
+  /// player and for the centralized run being compared against).
+  /// `channel_prefix` namespaces the billboard channels of this
+  /// execution.
+  ZeroRadiusStrategy(PlayerId self, const std::vector<PlayerId>& players,
+                     const std::vector<std::uint32_t>& objects, double alpha,
+                     const Params& params, const rng::Rng& shared_rng,
+                     std::string channel_prefix = "dzr");
 
   std::optional<billboard::ObjectId> next_probe(const billboard::RoundView& view) override;
   void on_result(billboard::ObjectId o, bool value) override;
@@ -45,41 +49,36 @@ class ZeroRadiusStrategy final : public billboard::PlayerStrategy {
   [[nodiscard]] bits::BitVector output() const;
 
  private:
-  /// One recursion node on the player's root-to-leaf path.
+  /// One recursion node on the player's root-to-leaf path. Its own
+  /// object list is not stored: it is the merge of its two children's.
   struct Frame {
-    std::vector<std::uint32_t> objects;          ///< node's global object ids
     std::vector<std::uint32_t> sibling_objects;  ///< sibling child's global ids
-    std::uint64_t own_child_tag = 0;
-    std::uint64_t sibling_child_tag = 0;
+    std::string sibling_channel;  ///< where the sibling half posts
+    std::string node_channel;     ///< where this node's vector is posted
     std::size_t sibling_player_count = 0;
     std::size_t min_votes = 1;
   };
 
   enum class State : std::uint8_t { kLeafProbe, kPostChild, kAwait, kSelect, kDone };
 
-  [[nodiscard]] std::string channel(std::uint64_t tag) const {
-    return prefix_ + "/" + std::to_string(tag);
-  }
-  void begin_level();  // set up Await for frames_[level_]
-
   PlayerId self_;
   double alpha_;
-  std::string prefix_;
 
-  // Root-to-leaf path; frames_[0] is the root. The leaf's objects are
-  // leaf_objects_.
+  // Root-to-leaf path, processed deepest node first: frames_[0] is the
+  // leaf's parent, frames_.back() the root.
   std::vector<Frame> frames_;
-  std::vector<std::uint32_t> leaf_objects_;
-  std::uint64_t leaf_tag_ = 1;
+  std::string leaf_channel_;
 
+  // Object list of the highest completed node: the leaf's list at
+  // first, merged with each completed level's sibling list on the way
+  // up, so it is the root list once done.
+  std::vector<std::uint32_t> objects_;
   // Accumulated estimate over the global object space.
   bits::BitVector values_;
-  std::vector<std::uint32_t> root_objects_;
 
   State state_ = State::kLeafProbe;
   std::size_t leaf_pos_ = 0;
-  std::size_t level_ = 0;  // index into frames_ counting from the leaf upward
-  std::uint64_t pending_post_tag_ = 0;
+  std::size_t level_ = 0;  // completed levels, counting from the leaf upward
   bool have_pending_post_ = false;
 
   // Select-with-bound-0 working state for the current level.
@@ -97,8 +96,14 @@ class ZeroRadiusStrategy final : public billboard::PlayerStrategy {
 /// level. Honest peers defend themselves with Select's probing.
 class ForgingZeroRadiusStrategy final : public billboard::PlayerStrategy {
  public:
+  /// Throws std::invalid_argument for an empty `forged` vector: there
+  /// would be no bit to forge with.
   ForgingZeroRadiusStrategy(ZeroRadiusStrategy inner, bits::BitVector forged)
-      : inner_(std::move(inner)), forged_(std::move(forged)) {}
+      : inner_(std::move(inner)), forged_(std::move(forged)) {
+    if (forged_.empty()) {
+      throw std::invalid_argument("ForgingZeroRadiusStrategy: forged vector is empty");
+    }
+  }
 
   std::optional<billboard::ObjectId> next_probe(const billboard::RoundView& view) override {
     return inner_.next_probe(view);

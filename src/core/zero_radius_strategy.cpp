@@ -15,61 +15,79 @@ std::vector<T> gather(const std::vector<T>& src, const std::vector<std::uint32_t
   return out;
 }
 
+// acc := the ascending merge of acc and add (both ascending).
+void merge_into(std::vector<std::uint32_t>& acc, const std::vector<std::uint32_t>& add) {
+  const auto mid = static_cast<std::ptrdiff_t>(acc.size());
+  acc.insert(acc.end(), add.begin(), add.end());
+  std::inplace_merge(acc.begin(), acc.begin() + mid, acc.end());
+}
+
 }  // namespace
 
-ZeroRadiusStrategy::ZeroRadiusStrategy(PlayerId self, std::vector<PlayerId> players,
-                                       std::vector<std::uint32_t> objects, double alpha,
+ZeroRadiusStrategy::ZeroRadiusStrategy(PlayerId self, const std::vector<PlayerId>& players,
+                                       const std::vector<std::uint32_t>& objects, double alpha,
                                        const Params& params, const rng::Rng& shared_rng,
                                        std::string channel_prefix)
-    : self_(self), alpha_(alpha), prefix_(std::move(channel_prefix)) {
+    : self_(self), alpha_(alpha) {
   const std::size_t n_total = players.size();
   const std::size_t threshold = zero_radius_leaf_threshold(n_total, alpha, params);
   if (std::find(players.begin(), players.end(), self_) == players.end()) {
     throw std::invalid_argument("ZeroRadiusStrategy: self not among players");
   }
+  if (!std::is_sorted(objects.begin(), objects.end())) {
+    throw std::invalid_argument("ZeroRadiusStrategy: objects not ascending");
+  }
+  const auto channel = [&channel_prefix](std::uint64_t tag) {
+    return channel_prefix + "/" + std::to_string(tag);
+  };
 
   // Pre-size the global estimate: object ids address the oracle's
   // space, so size it to the max id + 1.
-  std::uint32_t max_obj = 0;
-  for (auto o : objects) max_obj = std::max(max_obj, o);
-  values_ = bits::BitVector(max_obj + 1);
-  root_objects_ = objects;
+  values_ = bits::BitVector(objects.empty() ? 1 : objects.back() + 1);
 
   // Walk down the shared recursion tree, keeping the half containing
   // self at every node (Fig. 2: "Let P' be the half that contains p").
+  // The node's lists are the caller's at the root, then own_players /
+  // own_objects.
+  const std::vector<PlayerId>* node_players = &players;
+  const std::vector<std::uint32_t>* node_objects = &objects;
+  std::vector<PlayerId> own_players;
+  std::vector<std::uint32_t> own_objects;
   std::uint64_t tag = 1;
-  while (std::min(players.size(), objects.size()) >= threshold && !players.empty() &&
-         !objects.empty()) {
-    const auto split = zero_radius_node_split(players.size(), objects.size(), shared_rng, tag);
+  while (std::min(node_players->size(), node_objects->size()) >= threshold &&
+         !node_players->empty() && !node_objects->empty()) {
+    const auto split =
+        zero_radius_node_split(node_players->size(), node_objects->size(), shared_rng, tag);
 
     const auto self_pos = static_cast<std::uint32_t>(
-        std::find(players.begin(), players.end(), self_) - players.begin());
-    if (self_pos >= players.size()) {
+        std::find(node_players->begin(), node_players->end(), self_) - node_players->begin());
+    if (self_pos >= node_players->size()) {
       throw std::invalid_argument("ZeroRadiusStrategy: self not among players");
     }
     const bool in_first = std::binary_search(split.p1.begin(), split.p1.end(), self_pos);
 
     Frame f;
-    f.objects = objects;
     const auto& own_p = in_first ? split.p1 : split.p2;
     const auto& sib_p = in_first ? split.p2 : split.p1;
     const auto& own_o = in_first ? split.o1 : split.o2;
     const auto& sib_o = in_first ? split.o2 : split.o1;
-    f.sibling_objects = gather(objects, sib_o);
-    f.own_child_tag = tag * 2 + (in_first ? 1 : 2);
-    f.sibling_child_tag = tag * 2 + (in_first ? 2 : 1);
+    f.sibling_objects = gather(*node_objects, sib_o);
+    f.sibling_channel = channel(tag * 2 + (in_first ? 2 : 1));
+    f.node_channel = channel(tag);
     f.sibling_player_count = sib_p.size();
     f.min_votes = std::max<std::size_t>(
         1, static_cast<std::size_t>(std::ceil(params.zr_vote_frac * alpha_ *
                                               static_cast<double>(sib_p.size()))));
     frames_.push_back(std::move(f));
 
-    players = gather(players, own_p);
-    objects = gather(objects, own_o);
-    tag = frames_.back().own_child_tag;
+    own_players = gather(*node_players, own_p);
+    own_objects = gather(*node_objects, own_o);
+    node_players = &own_players;
+    node_objects = &own_objects;
+    tag = tag * 2 + (in_first ? 1 : 2);
   }
-  leaf_objects_ = std::move(objects);
-  leaf_tag_ = tag;
+  objects_ = frames_.empty() ? objects : std::move(own_objects);
+  leaf_channel_ = channel(tag);
 
   // Process deepest node first on the way back up.
   std::reverse(frames_.begin(), frames_.end());
@@ -80,18 +98,17 @@ std::optional<billboard::ObjectId> ZeroRadiusStrategy::next_probe(
     const billboard::RoundView& view) {
   switch (state_) {
     case State::kLeafProbe:
-      if (leaf_pos_ < leaf_objects_.size()) {
-        return leaf_objects_[leaf_pos_];
+      if (leaf_pos_ < objects_.size()) {
+        return objects_[leaf_pos_];
       }
       // Leaf complete (empty-leaf corner case): fall through to posting.
-      pending_post_tag_ = leaf_tag_;
       have_pending_post_ = true;
       state_ = frames_.empty() ? State::kDone : State::kAwait;
       return std::nullopt;
 
     case State::kAwait: {
       const Frame& f = frames_[level_];
-      const auto ch = channel(f.sibling_child_tag);
+      const std::string& ch = f.sibling_channel;
       if (view.board().posters(ch) < f.sibling_player_count) {
         return std::nullopt;  // sibling half still working
       }
@@ -143,12 +160,11 @@ std::optional<billboard::ObjectId> ZeroRadiusStrategy::next_probe(
         values_.scatter(candidates_[best], f.sibling_objects);
       }
 
-      // Publish the completed node vector for the parent level's
-      // sibling players (the root's vector needs no audience).
-      if (level_ + 1 < frames_.size()) {
-        pending_post_tag_ = frames_[level_ + 1].own_child_tag;
-        have_pending_post_ = true;
-      }
+      // The node is complete: its object list is the merge of its
+      // children's. Publish its vector for the parent level's sibling
+      // players (the root's vector needs no audience).
+      merge_into(objects_, f.sibling_objects);
+      have_pending_post_ = level_ + 1 < frames_.size();
       ++level_;
       state_ = level_ < frames_.size() ? State::kAwait : State::kDone;
       return std::nullopt;
@@ -165,8 +181,7 @@ void ZeroRadiusStrategy::on_result(billboard::ObjectId o, bool value) {
   if (state_ == State::kLeafProbe) {
     values_.set(o, value);
     ++leaf_pos_;
-    if (leaf_pos_ == leaf_objects_.size()) {
-      pending_post_tag_ = leaf_tag_;
+    if (leaf_pos_ == objects_.size()) {
       have_pending_post_ = true;
       state_ = frames_.empty() ? State::kDone : State::kAwait;
     }
@@ -190,16 +205,21 @@ void ZeroRadiusStrategy::on_result(billboard::ObjectId o, bool value) {
 std::vector<billboard::PendingPost> ZeroRadiusStrategy::posts() {
   if (!have_pending_post_) return {};
   have_pending_post_ = false;
-  // The node's object set: leaf objects for the leaf post, otherwise
-  // the just-completed frame's objects.
-  const std::vector<std::uint32_t>* objs = &leaf_objects_;
-  if (pending_post_tag_ != leaf_tag_) {
-    objs = &frames_[level_ - 1].objects;
-  }
-  return {billboard::PendingPost{channel(pending_post_tag_), values_.project(*objs)}};
+  // The vector of the highest completed node: the leaf, or the frame
+  // just completed.
+  const std::string& ch = level_ == 0 ? leaf_channel_ : frames_[level_ - 1].node_channel;
+  return {billboard::PendingPost{ch, values_.project(objects_)}};
 }
 
-bits::BitVector ZeroRadiusStrategy::output() const { return values_.project(root_objects_); }
+bits::BitVector ZeroRadiusStrategy::output() const {
+  if (level_ == frames_.size()) return values_.project(objects_);
+  // Not done: the levels still open add their sibling lists.
+  auto root = objects_;
+  for (std::size_t k = level_; k < frames_.size(); ++k) {
+    merge_into(root, frames_[k].sibling_objects);
+  }
+  return values_.project(root);
+}
 
 DistributedZeroRadiusResult zero_radius_distributed(billboard::ProbeOracle& oracle,
                                                     double alpha, const Params& params,

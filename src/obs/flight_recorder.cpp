@@ -170,6 +170,11 @@ void FlightRecorder::write_locked(RecorderEvent& ev) {
 }
 
 void FlightRecorder::drain_locked() {
+  // Nothing staged since the last drain: O(1), not a walk over every
+  // player's (empty) stage. The scheduler's per-result post() records
+  // make this the common case.
+  if (!staged_.load(std::memory_order_relaxed)) return;
+  staged_.store(false, std::memory_order_relaxed);
   for (std::size_t p = 0; p < stages_.size(); ++p) {
     Stage& st = stages_[p];
     for (Staged& s : st.events) {
@@ -337,6 +342,9 @@ void FlightRecorder::stage(std::uint32_t player, Staged ev) {
     dropped_total_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
+  // Load before store: workers staging probes in parallel would
+  // otherwise bounce this cache line on every probe.
+  if (!staged_.load(std::memory_order_relaxed)) staged_.store(true, std::memory_order_relaxed);
   Stage& st = stages_[player];
   if (st.events.size() >= stage_cap_) {
     ++st.dropped;

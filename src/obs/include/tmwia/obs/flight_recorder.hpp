@@ -136,8 +136,8 @@ class FlightRecorder {
   // ---- serial emission (phase boundaries, scheduler rounds) --------
   // Every serial emission first drains the staged per-player events in
   // player order — that drain is what makes the stream --threads
-  // invariant. Only call from serial code (no staged writers in
-  // flight).
+  // invariant. When nothing was staged since the last drain, the drain
+  // is O(1). Only call from serial code (no staged writers in flight).
 
   /// Enter a run scope. The outermost scope emits run_begin and sizes
   /// the per-player stages; nested entry points (unknown_d's per-guess
@@ -234,6 +234,11 @@ class FlightRecorder {
   /// parallel_for join points with no staged writers in flight. The
   /// vector itself is resized only at those serial points.
   std::vector<Stage> stages_;
+  /// Set by stage() (events or an overflow count), cleared by the drain
+  /// that writes them out: a drain with nothing staged returns at once.
+  /// Relaxed is enough: stagers and drains are ordered by the same join
+  /// points that order the stages themselves.
+  std::atomic<bool> staged_{false};
   std::atomic<std::uint64_t> written_{0};
   std::atomic<std::uint64_t> dropped_total_{0};
   std::atomic<std::uint64_t> unstaged_dropped_{0};  ///< events before run_begin

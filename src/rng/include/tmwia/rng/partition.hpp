@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "tmwia/rng/rng.hpp"
@@ -32,11 +33,19 @@ Partition random_partition(const std::vector<std::uint32_t>& ids, std::size_t s,
 /// Convenience overload partitioning 0..n-1.
 Partition random_partition(std::size_t n, std::size_t s, Rng& rng);
 
-/// Uniformly random split of `ids` into two halves (sizes differ by at
-/// most 1), preserving ascending order inside each half. Zero Radius
-/// step 2.
+/// Uniformly random split of `ids` into two halves (sizes floor(n/2)
+/// and ceil(n/2)), each in ascending order. Zero Radius step 2. O(n):
+/// it draws what shuffle() draws on an n-element list, takes the
+/// positions the shuffle moves into its first half, and emits both
+/// halves in one pass, with no sort. Precondition: `ids` is ascending,
+/// as every id list of the recursion is; the halves keep input order,
+/// so an unsorted input gives unsorted halves.
 std::pair<std::vector<std::uint32_t>, std::vector<std::uint32_t>> random_half_split(
     const std::vector<std::uint32_t>& ids, Rng& rng);
+
+/// Convenience overload splitting 0..n-1, with the same draws.
+std::pair<std::vector<std::uint32_t>, std::vector<std::uint32_t>> random_half_split(
+    std::size_t n, Rng& rng);
 
 /// Assign each of the items in `ids` to `copies` distinct parts chosen
 /// uniformly among s parts (Large Radius step 1 player assignment).

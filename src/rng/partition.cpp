@@ -22,16 +22,38 @@ Partition random_partition(std::size_t n, std::size_t s, Rng& rng) {
   return random_partition(ids, s, rng);
 }
 
+namespace {
+
+// Zero Radius step 2 in O(n): the Fisher–Yates draws of shuffle() on an
+// n-element list decide which positions land in the first half (that
+// depends only on the draws, not on the values shuffled); one ascending
+// pass then emits both halves, each in input order.
+template <typename IdAt>
+std::pair<std::vector<std::uint32_t>, std::vector<std::uint32_t>> half_split(std::size_t n,
+                                                                           Rng& rng,
+                                                                           IdAt id_at) {
+  std::vector<std::uint32_t> perm(n);
+  std::iota(perm.begin(), perm.end(), 0u);
+  shuffle(perm, rng);
+  std::vector<std::uint8_t> in_first(n, 0);
+  for (std::size_t k = 0; k < n / 2; ++k) in_first[perm[k]] = 1;
+  std::vector<std::uint32_t> a, b;
+  a.reserve(n / 2);
+  b.reserve(n - n / 2);
+  for (std::size_t i = 0; i < n; ++i) (in_first[i] != 0 ? a : b).push_back(id_at(i));
+  return {std::move(a), std::move(b)};
+}
+
+}  // namespace
+
 std::pair<std::vector<std::uint32_t>, std::vector<std::uint32_t>> random_half_split(
     const std::vector<std::uint32_t>& ids, Rng& rng) {
-  std::vector<std::uint32_t> perm = ids;
-  shuffle(perm, rng);
-  const std::size_t half = ids.size() / 2;
-  std::vector<std::uint32_t> a(perm.begin(), perm.begin() + static_cast<std::ptrdiff_t>(half));
-  std::vector<std::uint32_t> b(perm.begin() + static_cast<std::ptrdiff_t>(half), perm.end());
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  return {std::move(a), std::move(b)};
+  return half_split(ids.size(), rng, [&ids](std::size_t i) { return ids[i]; });
+}
+
+std::pair<std::vector<std::uint32_t>, std::vector<std::uint32_t>> random_half_split(
+    std::size_t n, Rng& rng) {
+  return half_split(n, rng, [](std::size_t i) { return static_cast<std::uint32_t>(i); });
 }
 
 Partition assign_to_parts(const std::vector<std::uint32_t>& ids, std::size_t s,

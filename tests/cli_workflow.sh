@@ -98,6 +98,19 @@ grep -q "replay clean" "$DIR/replay_f.txt"
 "$CLI" replay --log="$DIR/r.bin" >"$DIR/replay_bin.txt"
 grep -q "replay clean" "$DIR/replay_bin.txt"
 
+# A RoundScheduler run (supervised mimic): one serial post record per
+# published result, so the recorder's drains run once per result. The
+# log must still be byte-identical across --threads and replay clean.
+for t in 1 4; do
+  "$CLI" run --in="$DIR/world.tmw" --algo=mimic --seed=5 --threads="$t" \
+         --record="$DIR/mimic_r$t.jsonl" --out="$DIR/mimic_est$t.txt" >/dev/null
+  "$CLI" replay --log="$DIR/mimic_r$t.jsonl" >"$DIR/mimic_replay$t.txt"
+  grep -q "replay clean" "$DIR/mimic_replay$t.txt"
+done
+cmp "$DIR/mimic_r1.jsonl" "$DIR/mimic_r4.jsonl"
+cmp "$DIR/mimic_est1.txt" "$DIR/mimic_est4.txt"
+grep -q '"ev":"post"' "$DIR/mimic_r1.jsonl"
+
 # Generated --help comes from the flag table; unknown flags are rejected.
 "$CLI" --help >"$DIR/help.txt"
 grep -q -- "--metrics=FILE" "$DIR/help.txt"

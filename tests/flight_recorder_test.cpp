@@ -148,6 +148,84 @@ TEST(FlightRecorder, StageCapOverflowIsExplicit) {
   EXPECT_EQ(rec.events_dropped(), 3u);
 }
 
+/// A serial emission with nothing staged drains nothing, and must not
+/// lose what is staged after it: the next serial emission writes those
+/// probes, in player order, before its own record.
+TEST(FlightRecorder, ProbesStagedAfterAnEmptyDrainStillDrain) {
+  std::ostringstream out;
+  obs::FlightRecorder rec(out);
+  rec.run_begin("run", 0.5, 3, 8);
+  rec.note("empty", 0, 0);  // nothing staged yet
+  rec.probe(2, 5, true, 0);
+  rec.probe(0, 6, false, 0);
+  rec.round_begin(0);
+  rec.note("empty again", 1, 0);
+  rec.run_end("run", 0, 2);
+
+  const auto events = parse(out.str());
+  ASSERT_EQ(events.size(), 7u);
+  EXPECT_EQ(events[1].kind, RecorderEvent::Kind::kNote);
+  EXPECT_EQ(events[2].kind, RecorderEvent::Kind::kProbe);
+  EXPECT_EQ(events[2].player, 0u);
+  EXPECT_EQ(events[2].object, 6u);
+  EXPECT_EQ(events[3].kind, RecorderEvent::Kind::kProbe);
+  EXPECT_EQ(events[3].player, 2u);
+  EXPECT_EQ(events[3].object, 5u);
+  EXPECT_EQ(events[4].kind, RecorderEvent::Kind::kRoundBegin);
+  EXPECT_EQ(events[5].kind, RecorderEvent::Kind::kNote);
+  EXPECT_EQ(events[6].kind, RecorderEvent::Kind::kRunEnd);
+}
+
+/// A stage whose only content is a cap overflow (every event dropped)
+/// still counts as staged: the next drain writes its overflow record.
+TEST(FlightRecorder, OverflowOnlyStageStillDrains) {
+  std::ostringstream out;
+  obs::FlightRecorder rec(out, obs::RecordFormat::kJsonl, /*stage_cap=*/0);
+  rec.run_begin("run", 0.5, 2, 8);
+  rec.note("empty", 0, 0);
+  rec.probe(1, 3, true, 0);
+  rec.probe(1, 4, true, 1);
+  rec.note("mark", 0, 0);
+  rec.run_end("run", 0, 2);
+
+  const auto events = parse(out.str());
+  ASSERT_EQ(events.size(), 5u);
+  EXPECT_EQ(events[2].kind, RecorderEvent::Kind::kOverflow);
+  EXPECT_EQ(events[2].player, 1u);
+  EXPECT_EQ(events[2].a, 2u);
+  EXPECT_EQ(events[3].kind, RecorderEvent::Kind::kNote);
+  EXPECT_EQ(events[3].label, "mark");
+  EXPECT_EQ(rec.events_dropped(), 2u);
+}
+
+/// A run of serial emissions with nothing staged writes exactly those
+/// events, on consecutive clock ticks.
+TEST(FlightRecorder, SerialEmissionsWithNothingStagedWriteOnlyThemselves) {
+  std::ostringstream out;
+  obs::FlightRecorder rec(out);
+  rec.run_begin("scheduler", 0.0, 4, 4);
+  rec.round_begin(0);
+  rec.post(0, 1, 2);
+  rec.post(0, 3, 0);
+  rec.round_end(0, 2, 2);
+  rec.note("mark", 1, 2);
+  rec.run_end("scheduler", 1, 2);
+  rec.flush();
+
+  const auto events = parse(out.str());
+  const std::vector<RecorderEvent::Kind> kinds{
+      RecorderEvent::Kind::kRunBegin, RecorderEvent::Kind::kRoundBegin,
+      RecorderEvent::Kind::kPost,     RecorderEvent::Kind::kPost,
+      RecorderEvent::Kind::kRoundEnd, RecorderEvent::Kind::kNote,
+      RecorderEvent::Kind::kRunEnd};
+  ASSERT_EQ(events.size(), kinds.size());
+  for (std::size_t i = 0; i < kinds.size(); ++i) {
+    EXPECT_EQ(events[i].kind, kinds[i]) << i;
+    EXPECT_EQ(events[i].t, i) << i;
+  }
+  EXPECT_EQ(rec.events_written(), kinds.size());
+}
+
 /// Probe traffic before the first run_begin has no stage to land in;
 /// it is counted and reported as a playerless overflow at flush().
 TEST(FlightRecorder, PreRunBeginEventsSurfaceAtFlush) {

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "tmwia/rng/partition.hpp"
 #include "tmwia/rng/rng.hpp"
@@ -158,6 +161,77 @@ TEST(Partition, HalfSplitIsActuallyRandom) {
   const auto [a1, b1] = random_half_split(ids, r1);
   const auto [a2, b2] = random_half_split(ids, r2);
   EXPECT_NE(a1, a2);
+}
+
+/// The definition random_half_split must keep: shuffle a copy, cut it
+/// in half, sort each half.
+std::pair<std::vector<std::uint32_t>, std::vector<std::uint32_t>> reference_half_split(
+    const std::vector<std::uint32_t>& ids, Rng& rng) {
+  std::vector<std::uint32_t> perm = ids;
+  shuffle(perm, rng);
+  const auto half = static_cast<std::ptrdiff_t>(ids.size() / 2);
+  std::vector<std::uint32_t> a(perm.begin(), perm.begin() + half);
+  std::vector<std::uint32_t> b(perm.begin() + half, perm.end());
+  std::sort(a.begin(), a.end());
+  std::sort(b.begin(), b.end());
+  return {std::move(a), std::move(b)};
+}
+
+std::vector<std::size_t> half_split_sizes() {
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 300; ++n) sizes.push_back(n);
+  for (std::size_t n : {1023U, 1024U, 2048U}) sizes.push_back(n);
+  return sizes;
+}
+
+/// Both overloads give exactly the halves of shuffle + two sorts, and
+/// leave the Rng where the reference leaves it: the same draws, so the
+/// Zero Radius recursion tree is unchanged.
+TEST(Partition, HalfSplitMatchesShuffleAndSortReference) {
+  for (std::uint64_t seed : {1ULL, 2ULL, 3ULL, 0x5eedULL, 0xdeadbeefULL}) {
+    for (std::size_t n : half_split_sizes()) {
+      std::vector<std::uint32_t> iota_ids(n), spread_ids(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        iota_ids[i] = static_cast<std::uint32_t>(i);
+        spread_ids[i] = static_cast<std::uint32_t>(3 * i + 7);  // ascending, not 0..n-1
+      }
+      const Rng base = Rng(seed).split(n);
+
+      Rng ref_rng = base;
+      const auto ref = reference_half_split(iota_ids, ref_rng);
+      Rng n_rng = base;
+      EXPECT_EQ(random_half_split(n, n_rng), ref) << "seed " << seed << " n " << n;
+      EXPECT_EQ(n_rng.next(), ref_rng.next()) << "seed " << seed << " n " << n;
+
+      Rng spread_ref_rng = base;
+      const auto spread_ref = reference_half_split(spread_ids, spread_ref_rng);
+      Rng ids_rng = base;
+      EXPECT_EQ(random_half_split(spread_ids, ids_rng), spread_ref)
+          << "seed " << seed << " n " << n;
+      EXPECT_EQ(ids_rng.next(), spread_ref_rng.next()) << "seed " << seed << " n " << n;
+    }
+  }
+}
+
+/// Precondition of the ids overload: the input is ascending. The halves
+/// keep input order (there is no sort), so an unsorted input gives the
+/// reference's sets, each in input order rather than sorted.
+TEST(Partition, HalfSplitKeepsInputOrder) {
+  const std::vector<std::uint32_t> ids{9, 4, 7, 1, 8, 2, 6, 0, 5, 3};
+  Rng r1(59), r2(59);
+  const auto [a, b] = random_half_split(ids, r1);
+  const auto [ref_a, ref_b] = reference_half_split(ids, r2);
+  const auto in_input_order = [&ids](const std::vector<std::uint32_t>& half) {
+    std::vector<std::uint32_t> out;
+    for (auto id : ids) {
+      if (std::find(half.begin(), half.end(), id) != half.end()) out.push_back(id);
+    }
+    return out;
+  };
+  EXPECT_EQ(a, in_input_order(ref_a));
+  EXPECT_EQ(b, in_input_order(ref_b));
+  EXPECT_TRUE(std::is_permutation(a.begin(), a.end(), ref_a.begin(), ref_a.end()));
+  EXPECT_TRUE(std::is_permutation(b.begin(), b.end(), ref_b.begin(), ref_b.end()));
 }
 
 TEST(Partition, AssignToPartsEachItemInExactlyCopies) {

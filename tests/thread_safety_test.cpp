@@ -1,7 +1,8 @@
+// tmwia-lint: allow-file(sink-registration) the recorder staging test drives its own sink under the pool.
 // Thread-safety stress tests for the concurrently-used structures:
-// Billboard's posting surface, the MetricsRegistry shard merge, and
-// the audited probe path (ProbeOracle + ProtocolAuditor ledgers under
-// the engine pool).
+// Billboard's posting surface, the MetricsRegistry shard merge, the
+// audited probe path (ProbeOracle + ProtocolAuditor ledgers under the
+// engine pool), and the FlightRecorder's per-player stages.
 //
 // These tests are most valuable under ThreadSanitizer (run_tests.sh
 // --tsan builds and runs them there), but they also assert a functional
@@ -13,6 +14,7 @@
 
 #include <cstdint>
 #include <span>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -26,6 +28,7 @@
 #include "tmwia/engine/thread_pool.hpp"
 #include "tmwia/matrix/generators.hpp"
 #include "tmwia/matrix/ids.hpp"
+#include "tmwia/obs/flight_recorder.hpp"
 #include "tmwia/obs/metrics.hpp"
 #include "tmwia/rng/rng.hpp"
 
@@ -179,6 +182,45 @@ TEST(ThreadSafety, AuditedProbesUnderPoolMatchSerial) {
   }
 }
 #endif
+
+/// Pool workers stage probes over distinct players (owner-write), and
+/// serial emissions between the parallel phases drain them, some with
+/// nothing staged. The log must be byte-equal to a serial run's: the
+/// staged flag may not lose a probe or reorder a drain.
+TEST(ThreadSafety, RecorderStagingUnderPoolMatchesSerial) {
+  const std::size_t players = kThreads * kPlayersPerThread;
+  const auto recorded_run = [&](bool pooled) {
+    std::ostringstream out;
+    tmwia::obs::FlightRecorder rec(out, tmwia::obs::RecordFormat::kBinary);
+    rec.run_begin("run", 0.5, players, kObjects);
+    for (std::uint64_t phase = 0; phase < 6; ++phase) {
+      const auto work = [&](std::size_t p) {
+        if ((p + phase) % 3 == 0) return;  // some players idle this phase
+        for (std::size_t k = 0; k < 4; ++k) {
+          const auto o = static_cast<std::uint32_t>((p * 7 + phase * 5 + k) % kObjects);
+          rec.probe(static_cast<std::uint32_t>(p), o, ((p + k) & 1U) != 0, phase * 4 + k);
+        }
+      };
+      if (phase % 2 == 0) {
+        if (pooled) {
+          tmwia::engine::parallel_for(0, players, work, 4);  // many small chunks
+        } else {
+          for (std::size_t p = 0; p < players; ++p) work(p);
+        }
+      }
+      rec.round_begin(phase);  // drains whatever the phase staged
+      rec.note("idle", phase, 0);  // nothing staged: an O(1) drain
+      rec.round_end(phase, players, 0);
+    }
+    rec.run_end("run", 6, 0);
+    rec.flush();
+    return out.str();
+  };
+
+  const auto serial = recorded_run(false);
+  EXPECT_FALSE(serial.empty());
+  for (int rep = 0; rep < 4; ++rep) EXPECT_EQ(recorded_run(true), serial);
+}
 
 TEST(ThreadSafety, SetBackendRejectedDuringParallelPhase) {
   namespace kernels = tmwia::bits::kernels;
