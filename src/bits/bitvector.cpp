@@ -1,6 +1,9 @@
 #include "tmwia/bits/bitvector.hpp"
 
+#include <array>
 #include <bit>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 
 #include "tmwia/bits/kernels.hpp"
@@ -46,6 +49,17 @@ Word deposit(Word bits, Word mask) {
   return fn(bits, mask);
 }
 
+// kByteChars[b] spells byte b's bits as '0'/'1', least significant
+// first: coordinate i is bit i % 64 of word i / 64, so a word's bytes
+// render in ascending order.
+constexpr auto kByteChars = [] {
+  std::array<std::array<char, 8>, 256> table{};
+  for (std::size_t b = 0; b < 256; ++b) {
+    for (std::size_t k = 0; k < 8; ++k) table[b][k] = ((b >> k) & 1u) != 0 ? '1' : '0';
+  }
+  return table;
+}();
+
 }  // namespace
 
 BitVector BitVector::from_string(const std::string& s) {
@@ -62,8 +76,14 @@ BitVector BitVector::from_string(const std::string& s) {
 
 std::string BitVector::to_string() const {
   std::string s(size_, '0');
-  for (std::size_t i = 0; i < size_; ++i) {
-    if (get(i)) s[i] = '1';
+  char* out = s.data();
+  const std::size_t full_bytes = size_ / 8;
+  for (std::size_t b = 0; b < full_bytes; ++b) {
+    const auto byte = static_cast<std::uint8_t>(data_[b / 8] >> (8 * (b % 8)));
+    std::memcpy(out + 8 * b, kByteChars[byte].data(), 8);
+  }
+  for (std::size_t i = 8 * full_bytes; i < size_; ++i) {
+    if (get(i)) out[i] = '1';
   }
   return s;
 }

@@ -1,10 +1,9 @@
 #include "tmwia/io/flat_json.hpp"
 
-#include <cctype>
 #include <charconv>
-#include <cstdio>
 #include <stdexcept>
 #include <system_error>
+#include <unordered_set>
 
 namespace tmwia::io {
 namespace {
@@ -13,21 +12,21 @@ namespace {
   throw std::invalid_argument("flat json: " + what + " at offset " + std::to_string(pos));
 }
 
+[[noreturn]] void field_error(std::string_view key, const char* what) {
+  throw std::invalid_argument("flat json: field \"" + std::string(key) + "\" " + what);
+}
+
 /// Parse a whole number token into T, or throw std::invalid_argument
 /// naming the field: "not an integer"/"not a number" when the token
 /// does not parse in full, "out of range" when T cannot hold it.
 template <typename T>
-T parse_number(const std::string& key, const std::string& text, const char* kind) {
+T parse_number(std::string_view key, std::string_view text, const char* not_kind) {
   T value{};
   const char* const first = text.data();
   const char* const last = first + text.size();
   const auto [ptr, ec] = std::from_chars(first, last, value);
-  if (ec == std::errc::result_out_of_range) {
-    throw std::invalid_argument("flat json: field \"" + key + "\" is out of range");
-  }
-  if (ec != std::errc{} || ptr != last) {
-    throw std::invalid_argument("flat json: field \"" + key + "\" is not " + kind);
-  }
+  if (ec == std::errc::result_out_of_range) field_error(key, "is out of range");
+  if (ec != std::errc{} || ptr != last) field_error(key, not_kind);
   return value;
 }
 
@@ -35,10 +34,22 @@ void skip_ws(std::string_view s, std::size_t& i) {
   while (i < s.size() && (s[i] == ' ' || s[i] == '\t' || s[i] == '\r' || s[i] == '\n')) ++i;
 }
 
-std::string parse_string(std::string_view s, std::size_t& i) {
+bool is_number_char(char c) {
+  return (c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E';
+}
+
+/// The string literal at s[i], unescaped. Without a backslash it is a
+/// view into `s`; with one, the decoded text is pushed onto `decoded`
+/// and the view points there.
+std::string_view parse_string(std::string_view s, std::size_t& i,
+                              std::forward_list<std::string>& decoded) {
   if (i >= s.size() || s[i] != '"') fail(i, "expected '\"'");
-  ++i;
-  std::string out;
+  const std::size_t start = ++i;
+  while (i < s.size() && s[i] != '"' && s[i] != '\\') ++i;
+  if (i >= s.size()) fail(i, "unterminated string");
+  if (s[i] == '"') return s.substr(start, i++ - start);
+
+  std::string out(s.substr(start, i - start));
   while (i < s.size() && s[i] != '"') {
     char c = s[i++];
     if (c == '\\') {
@@ -78,13 +89,17 @@ std::string parse_string(std::string_view s, std::size_t& i) {
   }
   if (i >= s.size()) fail(i, "unterminated string");
   ++i;  // closing quote
-  return out;
+  decoded.push_front(std::move(out));
+  return decoded.front();
 }
 
 }  // namespace
 
 FlatJson FlatJson::parse(std::string_view text) {
   FlatJson out;
+  // Duplicate keys: a linear scan while the fields fit inline, then a
+  // hash set, so a hostile line with thousands of fields stays linear.
+  std::unordered_set<std::string_view> overflow_keys;
   std::size_t i = 0;
   skip_ws(text, i);
   if (i >= text.size() || text[i] != '{') fail(i, "expected '{'");
@@ -95,40 +110,52 @@ FlatJson FlatJson::parse(std::string_view text) {
   } else {
     for (;;) {
       skip_ws(text, i);
-      const std::string key = parse_string(text, i);
+      Field f;
+      f.key = parse_string(text, i, out.decoded_);
       skip_ws(text, i);
-      if (i >= text.size() || text[i] != ':') fail(i, "expected ':' after key \"" + key + '"');
+      if (i >= text.size() || text[i] != ':') {
+        fail(i, "expected ':' after key \"" + std::string(f.key) + '"');
+      }
       ++i;
       skip_ws(text, i);
-      if (i >= text.size()) fail(i, "missing value for key \"" + key + '"');
-      Value v;
+      if (i >= text.size()) fail(i, "missing value for key \"" + std::string(f.key) + '"');
       const char c = text[i];
       if (c == '"') {
-        v = {Kind::kString, parse_string(text, i)};
+        f.kind = Kind::kString;
+        f.value = parse_string(text, i, out.decoded_);
       } else if (c == '{' || c == '[') {
-        fail(i, "nested value for key \"" + key + "\" (flat objects only)");
+        fail(i, "nested value for key \"" + std::string(f.key) + "\" (flat objects only)");
       } else if (text.substr(i, 4) == "true") {
-        v = {Kind::kBool, "true"};
+        f.kind = Kind::kBool;
+        f.value = text.substr(i, 4);
         i += 4;
       } else if (text.substr(i, 5) == "false") {
-        v = {Kind::kBool, "false"};
+        f.kind = Kind::kBool;
+        f.value = text.substr(i, 5);
         i += 5;
       } else if (text.substr(i, 4) == "null") {
-        v = {Kind::kNull, ""};
+        f.kind = Kind::kNull;
         i += 4;
       } else {
         const std::size_t start = i;
-        while (i < text.size() &&
-               (std::isdigit(static_cast<unsigned char>(text[i])) != 0 || text[i] == '-' ||
-                text[i] == '+' || text[i] == '.' || text[i] == 'e' || text[i] == 'E')) {
-          ++i;
+        while (i < text.size() && is_number_char(text[i])) ++i;
+        if (i == start) fail(i, "bad value for key \"" + std::string(f.key) + '"');
+        f.kind = Kind::kNumber;
+        f.value = text.substr(start, i - start);
+      }
+      bool duplicate = false;
+      if (out.count_ < kInlineFields) {
+        duplicate = out.find(f.key) != nullptr;
+      } else {
+        if (overflow_keys.empty()) {
+          for (std::size_t k = 0; k < out.count_; ++k) overflow_keys.insert(out.key(k));
         }
-        if (i == start) fail(i, "bad value for key \"" + key + '"');
-        v = {Kind::kNumber, std::string(text.substr(start, i - start))};
+        duplicate = !overflow_keys.insert(f.key).second;
       }
-      if (!out.kv_.emplace(key, std::move(v)).second) {
-        throw std::invalid_argument("flat json: duplicate key \"" + key + '"');
+      if (duplicate) {
+        throw std::invalid_argument("flat json: duplicate key \"" + std::string(f.key) + '"');
       }
+      out.add(f);
       skip_ws(text, i);
       if (i < text.size() && text[i] == ',') {
         ++i;
@@ -146,86 +173,83 @@ FlatJson FlatJson::parse(std::string_view text) {
   return out;
 }
 
-const FlatJson::Value* FlatJson::find(const std::string& key) const {
-  const auto it = kv_.find(key);
-  return it == kv_.end() ? nullptr : &it->second;
-}
-
-bool FlatJson::has(const std::string& key) const { return find(key) != nullptr; }
-
-std::string FlatJson::get_string(const std::string& key, const std::string& def) const {
-  const auto* v = find(key);
-  if (v == nullptr || v->kind == Kind::kNull) return def;
-  if (v->kind != Kind::kString) {
-    throw std::invalid_argument("flat json: field \"" + key + "\" is not a string");
+void FlatJson::add(const Field& f) {
+  if (count_ < kInlineFields) {
+    inline_[count_] = f;
+  } else {
+    overflow_.push_back(f);
   }
-  return v->text;
+  ++count_;
 }
 
-std::int64_t FlatJson::get_int(const std::string& key, std::int64_t def) const {
-  const auto* v = find(key);
-  if (v == nullptr || v->kind == Kind::kNull) return def;
-  if (v->kind != Kind::kNumber) {
-    throw std::invalid_argument("flat json: field \"" + key + "\" is not a number");
+const FlatJson::Field* FlatJson::find(std::string_view key) const {
+  for (std::size_t i = 0; i < count_; ++i) {
+    const Field& f = field(i);
+    if (f.key == key) return &f;
   }
-  return parse_number<std::int64_t>(key, v->text, "an integer");
+  return nullptr;
 }
 
-std::uint64_t FlatJson::get_u64(const std::string& key, std::uint64_t def) const {
-  const auto* v = find(key);
-  if (v == nullptr || v->kind == Kind::kNull) return def;
-  if (v->kind != Kind::kNumber) {
-    throw std::invalid_argument("flat json: field \"" + key + "\" is not a number");
+const FlatJson::Field* FlatJson::typed(std::string_view key, Kind kind) const {
+  const Field* f = find(key);
+  if (f == nullptr || f->kind == Kind::kNull) return nullptr;
+  if (f->kind != kind) {
+    field_error(key, kind == Kind::kString   ? "is not a string"
+                     : kind == Kind::kNumber ? "is not a number"
+                                             : "is not a bool");
   }
-  return parse_number<std::uint64_t>(key, v->text, "an unsigned integer");
+  return f;
 }
 
-double FlatJson::get_double(const std::string& key, double def) const {
-  const auto* v = find(key);
-  if (v == nullptr || v->kind == Kind::kNull) return def;
-  if (v->kind != Kind::kNumber) {
-    throw std::invalid_argument("flat json: field \"" + key + "\" is not a number");
-  }
-  return parse_number<double>(key, v->text, "a number");
+bool FlatJson::has(std::string_view key) const { return find(key) != nullptr; }
+
+std::string_view FlatJson::get_string(std::string_view key, std::string_view def) const {
+  const Field* f = typed(key, Kind::kString);
+  return f == nullptr ? def : f->value;
 }
 
-bool FlatJson::get_bool(const std::string& key, bool def) const {
-  const auto* v = find(key);
-  if (v == nullptr || v->kind == Kind::kNull) return def;
-  if (v->kind != Kind::kBool) {
-    throw std::invalid_argument("flat json: field \"" + key + "\" is not a bool");
-  }
-  return v->text == "true";
+std::int64_t FlatJson::get_int(std::string_view key, std::int64_t def) const {
+  const Field* f = typed(key, Kind::kNumber);
+  return f == nullptr ? def : parse_number<std::int64_t>(key, f->value, "is not an integer");
 }
 
-std::vector<std::string> FlatJson::keys() const {
-  std::vector<std::string> out;
-  out.reserve(kv_.size());
-  for (const auto& [k, v] : kv_) out.push_back(k);
-  return out;
+std::uint64_t FlatJson::get_u64(std::string_view key, std::uint64_t def) const {
+  const Field* f = typed(key, Kind::kNumber);
+  return f == nullptr ? def
+                      : parse_number<std::uint64_t>(key, f->value, "is not an unsigned integer");
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
+double FlatJson::get_double(std::string_view key, double def) const {
+  const Field* f = typed(key, Kind::kNumber);
+  return f == nullptr ? def : parse_number<double>(key, f->value, "is not a number");
+}
+
+bool FlatJson::get_bool(std::string_view key, bool def) const {
+  const Field* f = typed(key, Kind::kBool);
+  return f == nullptr ? def : f->value == "true";
+}
+
+void append_json_escaped(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;  // first byte not yet appended
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\t': out += "\\t"; break;
       case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
+      default: {
+        const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        out.append(esc, sizeof esc);
+      }
     }
   }
-  return out;
+  out.append(s, run, s.size() - run);
 }
 
 }  // namespace tmwia::io

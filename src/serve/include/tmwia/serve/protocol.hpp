@@ -1,11 +1,15 @@
 // serve request/response wire protocol: one flat JSON object per line.
 //
-// Requests are parsed with io::FlatJson and validated against a
-// declarative per-op field table (the FlagTable discipline applied to
-// JSONL): a field the op does not declare is a parse error, so the
-// accepted grammar cannot drift from what the handlers read. Responses
-// render to one JSON line with a fixed key order, so the stream is both
-// jq-able and byte-diffable across runs.
+// Requests are parsed with io::FlatJson (one pass over the line, no
+// per-field allocation) and validated against a declarative per-op
+// field table (the FlagTable discipline applied to JSONL): a field the
+// op does not declare is a parse error naming the lexicographically
+// smallest such key, so the accepted grammar cannot drift from what the
+// handlers read and the error does not depend on field order. Values
+// the tower cannot use fail here too, as typed errors naming the field,
+// before any tenant is built. Responses render to one JSON line with a
+// fixed key order, appended into one reserved string, so the stream is
+// both jq-able and byte-diffable across runs.
 //
 // Ops:
 //   add_tenant  tenant, [in | kind,n,m,radius], alpha, seed, algo,
@@ -37,10 +41,10 @@ struct Request {
   std::string path;              ///< snapshot/restore: checkpoint file
   std::string in;                ///< add_tenant: instance file (overrides kind)
   std::string kind = "planted";  ///< add_tenant: generator (planted|uniform)
-  std::size_t n = 0;
-  std::size_t m = 0;
+  std::size_t n = 0;  ///< add_tenant: players, at most 2^32 - 1
+  std::size_t m = 0;  ///< add_tenant: objects, at most 2^32 - 1
   std::size_t radius = 0;
-  double alpha = 0.5;
+  double alpha = 0.5;  ///< add_tenant: in (0, 1]
   std::uint64_t seed = 1;
   std::string algo = "unknown_d";
   std::string faults;
@@ -50,7 +54,9 @@ struct Request {
 };
 
 /// Parse one request line. Throws std::invalid_argument on malformed
-/// JSON, an unknown op, an undeclared field, or a missing required one.
+/// JSON, an unknown op, an undeclared field, a missing required one, or
+/// a value out of range: player, n or m past the 32-bit id range, or
+/// alpha outside (0, 1].
 Request parse_request(std::string_view line);
 
 /// One response line. `has_*` flags gate the optional blocks so every

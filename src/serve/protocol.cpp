@@ -1,9 +1,10 @@
 #include "tmwia/serve/protocol.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <limits>
+#include <optional>
 #include <span>
-#include <sstream>
 #include <stdexcept>
 
 #include "tmwia/io/flat_json.hpp"
@@ -34,18 +35,56 @@ constexpr OpSpec kOps[] = {
     {"restore", kPathFields},
 };
 
-const OpSpec& op_spec(const std::string& op) {
+const OpSpec& op_spec(std::string_view op) {
   for (const auto& spec : kOps) {
     if (spec.op == op) return spec;
   }
-  throw std::invalid_argument("serve: unknown op '" + op + "'");
+  throw std::invalid_argument("serve: unknown op '" + std::string(op) + "'");
 }
 
-std::string require_string(const io::FlatJson& j, const char* key, const std::string& op) {
+std::string_view require_string(const io::FlatJson& j, std::string_view key,
+                                const std::string& op) {
   if (!j.has(key)) {
-    throw std::invalid_argument("serve: op '" + op + "' requires field '" + key + "'");
+    throw std::invalid_argument("serve: op '" + op + "' requires field '" + std::string(key) +
+                                "'");
   }
   return j.get_string(key, "");
+}
+
+[[noreturn]] void out_of_range(std::string_view key, const std::string& value,
+                               std::string_view expected = {}) {
+  std::string msg = "serve: field '" + std::string(key) + "' is out of range (" + value + ")";
+  if (!expected.empty()) msg.append("; expected ").append(expected);
+  throw std::invalid_argument(msg);
+}
+
+/// A player or object count: ids are 32-bit, so n and m must fit them.
+void check_id_count(std::string_view key, std::size_t count) {
+  if (count > std::numeric_limits<std::uint32_t>::max()) {
+    out_of_range(key, std::to_string(count), "at most 4294967295 (ids are 32-bit)");
+  }
+}
+
+void append_uint(std::string& out, std::uint64_t v) {
+  char buf[20];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, res.ptr);
+}
+
+void append_hash_hex(std::string& out, std::uint64_t h) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  char buf[18] = {'0', 'x'};
+  for (int i = 0; i < 16; ++i) buf[17 - i] = kDigits[(h >> (4 * i)) & 0xf];
+  out.append(buf, sizeof buf);
+}
+
+void append_bool(std::string& out, bool b) { out += b ? "true" : "false"; }
+
+/// `,"key":"value"` with the value escaped.
+void append_string_field(std::string& out, std::string_view key, std::string_view value) {
+  out.append(",\"").append(key).append("\":\"");
+  io::append_json_escaped(out, value);
+  out += '"';
 }
 
 }  // namespace
@@ -56,11 +95,17 @@ Request parse_request(std::string_view line) {
   req.op = j.get_string("op", "");
   if (req.op.empty()) throw std::invalid_argument("serve: request has no \"op\" field");
   const auto& spec = op_spec(req.op);
-  for (const auto& key : j.keys()) {
-    if (std::find(spec.fields.begin(), spec.fields.end(), key) == spec.fields.end()) {
-      throw std::invalid_argument("serve: op '" + req.op + "' does not accept field '" +
-                                  key + "'");
-    }
+  // Report the lexicographically smallest undeclared key, so the error
+  // names the same field whatever order the line lists its fields in.
+  std::optional<std::string_view> undeclared;
+  for (std::size_t i = 0; i < j.size(); ++i) {
+    const std::string_view key = j.key(i);
+    if (std::find(spec.fields.begin(), spec.fields.end(), key) != spec.fields.end()) continue;
+    if (!undeclared || key < *undeclared) undeclared = key;
+  }
+  if (undeclared) {
+    throw std::invalid_argument("serve: op '" + req.op + "' does not accept field '" +
+                                std::string(*undeclared) + "'");
   }
 
   req.tenant = require_string(j, "tenant", req.op);
@@ -81,6 +126,15 @@ Request parse_request(std::string_view line) {
       throw std::invalid_argument(
           "serve: add_tenant needs either \"in\" or nonzero \"n\" and \"m\"");
     }
+    check_id_count("n", req.n);
+    check_id_count("m", req.m);
+    // The tower needs a community that exists (alpha > 0) and fits
+    // (alpha <= 1); anything else must not reach the generator.
+    if (!(req.alpha > 0.0 && req.alpha <= 1.0)) {
+      char buf[32];
+      const auto res = std::to_chars(buf, buf + sizeof buf, req.alpha);
+      out_of_range("alpha", std::string(buf, res.ptr), "0 < alpha <= 1");
+    }
   } else if (req.op == "refine") {
     req.epochs = j.get_u64("epochs", req.epochs);
     if (req.epochs == 0) throw std::invalid_argument("serve: refine needs epochs >= 1");
@@ -90,8 +144,7 @@ Request parse_request(std::string_view line) {
     }
     const std::uint64_t player = j.get_u64("player", 0);
     if (player > std::numeric_limits<std::uint32_t>::max()) {
-      throw std::invalid_argument("serve: field 'player' is out of range (" +
-                                  std::to_string(player) + ")");
+      out_of_range("player", std::to_string(player));
     }
     req.player = static_cast<std::uint32_t>(player);
     if (req.op == "recommend") req.k = static_cast<std::size_t>(j.get_u64("k", req.k));
@@ -102,37 +155,57 @@ Request parse_request(std::string_view line) {
 }
 
 std::string hash_to_hex(std::uint64_t h) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out = "0x0000000000000000";
-  for (int i = 0; i < 16; ++i) out[17 - i] = kDigits[(h >> (4 * i)) & 0xf];
+  std::string out;
+  append_hash_hex(out, h);
   return out;
 }
 
 std::string Response::to_json() const {
-  std::ostringstream out;
-  out << "{\"op\":\"" << io::json_escape(op) << "\",\"tenant\":\"" << io::json_escape(tenant)
-      << "\",\"ok\":" << (ok ? "true" : "false");
-  if (!ok) out << ",\"error\":\"" << io::json_escape(error) << "\"";
+  // The fixed keys and widest numbers come to under 224 bytes; add every
+  // variable-length field so the line is built in one allocation
+  // (escapes aside).
+  std::size_t size = 224 + op.size() + tenant.size() + error.size() + estimate.size() +
+                     path.size() + 11 * items.size();
+  for (const auto& [key, value] : stats) size += key.size() + 24;
+  std::string out;
+  out.reserve(size);
+  out += "{\"op\":\"";
+  io::append_json_escaped(out, op);
+  out += "\"";
+  append_string_field(out, "tenant", tenant);
+  out += ",\"ok\":";
+  append_bool(out, ok);
+  if (!ok) append_string_field(out, "error", error);
   if (has_view) {
-    out << ",\"epoch\":" << epoch << ",\"hash\":\"" << hash_to_hex(cache_hash)
-        << "\",\"degraded\":" << (degraded ? "true" : "false")
-        << ",\"staleness\":" << staleness;
+    out += ",\"epoch\":";
+    append_uint(out, epoch);
+    out += ",\"hash\":\"";
+    append_hash_hex(out, cache_hash);
+    out += "\",\"degraded\":";
+    append_bool(out, degraded);
+    out += ",\"staleness\":";
+    append_uint(out, staleness);
   }
   if (has_items) {
-    out << ",\"items\":[";
+    out += ",\"items\":[";
     for (std::size_t i = 0; i < items.size(); ++i) {
-      if (i != 0) out << ',';
-      out << items[i];
+      if (i != 0) out += ',';
+      append_uint(out, items[i]);
     }
-    out << ']';
+    out += ']';
   }
-  if (has_estimate) out << ",\"estimate\":\"" << estimate << "\"";
-  if (!path.empty()) out << ",\"path\":\"" << io::json_escape(path) << "\"";
+  if (has_estimate) out.append(",\"estimate\":\"").append(estimate) += '"';
+  if (!path.empty()) append_string_field(out, "path", path);
   for (const auto& [key, value] : stats) {
-    out << ",\"" << io::json_escape(key) << "\":" << value;
+    out += ",\"";
+    io::append_json_escaped(out, key);
+    out += "\":";
+    append_uint(out, value);
   }
-  out << ",\"latency_us\":" << latency_us << "}";
-  return out.str();
+  out += ",\"latency_us\":";
+  append_uint(out, latency_us);
+  out += '}';
+  return out;
 }
 
 }  // namespace tmwia::serve

@@ -180,9 +180,7 @@ Response RecommendationService::estimate(const std::string& tenant, std::uint32_
     const auto started = e->tenant->epochs_started();
     r.staleness = started > v->epoch ? started - v->epoch : 0;
     r.has_estimate = true;
-    const auto& est = v->estimates[player];
-    r.estimate.reserve(est.size());
-    for (std::size_t o = 0; o < est.size(); ++o) r.estimate.push_back(est.get(o) ? '1' : '0');
+    r.estimate = v->estimates[player].to_string();
   }
   r.latency_us = timer.elapsed_us();
   observe(*e, r);

@@ -49,6 +49,17 @@ TEST(BitVector, SetGetFlipAcrossWordBoundary) {
 TEST(BitVector, FromToStringRoundTrip) {
   const std::string s = "0110100111010001";
   EXPECT_EQ(BitVector::from_string(s).to_string(), s);
+  // Every size across the byte-table body and the per-bit tail, three
+  // word boundaries included, against a per-bit rendering.
+  rng::Rng gen(0x70);
+  for (std::size_t n = 0; n <= 200; ++n) {
+    BitVector v(n);
+    for (std::size_t i = 0; i < n; ++i) v.set(i, gen.coin());
+    std::string expect;
+    for (std::size_t i = 0; i < n; ++i) expect.push_back(v.get(i) ? '1' : '0');
+    ASSERT_EQ(v.to_string(), expect) << "size " << n;
+    ASSERT_EQ(BitVector::from_string(expect), v) << "size " << n;
+  }
 }
 
 TEST(BitVector, FromStringRejectsBadChars) {

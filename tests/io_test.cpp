@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "tmwia/io/args.hpp"
 #include "tmwia/io/flat_json.hpp"
@@ -115,6 +117,30 @@ TEST(FlatJson, MalformedNumbersAreTypedErrors) {
   expect_field_error([&] { (void)j.get_int("frac", 0); }, "frac", "not an integer");
   expect_field_error([&] { (void)j.get_double("junk", 0); }, "junk", "not a number");
   expect_field_error([&] { (void)j.get_u64("sign", 0); }, "sign", "not an unsigned integer");
+}
+
+TEST(FlatJson, ViewsSurviveAMoveAndFieldsOverflowTheInlineTable) {
+  // Escaped strings are decoded into storage the FlatJson owns; a move
+  // must carry it along. Fields past the inline table stay reachable.
+  std::string text = R"({"k\u0031":"v\u0032 long enough to leave the small-string buffer")";
+  for (std::size_t f = 0; f < FlatJson::kInlineFields + 4; ++f) {
+    text += ",\"f" + std::to_string(f) + "\":" + std::to_string(f);
+  }
+  text += "}";
+  auto parsed = FlatJson::parse(text);
+  const FlatJson j = std::move(parsed);
+  EXPECT_EQ(j.get_string("k1", ""), "v2 long enough to leave the small-string buffer");
+  ASSERT_EQ(j.size(), FlatJson::kInlineFields + 5);
+  EXPECT_EQ(j.key(0), "k1");
+  EXPECT_EQ(j.key(j.size() - 1), "f19");
+  EXPECT_EQ(j.get_u64("f19", 0), 19u);
+  EXPECT_EQ(j.get_u64("f20", 7), 7u);
+}
+
+TEST(FlatJson, AppendJsonEscapedKeepsPrefixAndEscapesControls) {
+  std::string out = "x";
+  append_json_escaped(out, std::string_view("a\"b\\c\n\x01\x7f\xc3\xa9", 10));
+  EXPECT_EQ(out, "xa\\\"b\\\\c\\n\\u0001\x7f\xc3\xa9");
 }
 
 }  // namespace

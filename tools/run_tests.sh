@@ -42,7 +42,12 @@
 #              replay tools/serve_requests.threads.jsonl (an n=m=256
 #              tenant, so refine runs pool chunks) at --threads 1 and 4
 #              and require byte-identical responses (minus latency_us)
-#              and --prof trees
+#              and --prof trees; reject add_tenant alpha outside (0, 1]
+#              and n/m past the 32-bit id range at parse (exit 2); and
+#              replay the hostile codec corpus
+#              (tools/serve_requests.codec.jsonl) and cmp its responses
+#              (minus latency_us) against the committed
+#              serve_requests.codec.expected.jsonl
 #   telemetry  default: the observability contract — replay the sample
 #              serve stream with --telemetry/--slo/--prof and jq-check
 #              the JSONL record kinds, the Prometheus exposition, the
@@ -334,6 +339,30 @@ if [[ $RUN_SERVE -eq 1 ]]; then
   [[ $rc -eq 2 ]] || { echo "serve: expected exit 2 for out-of-range player, got $rc" >&2; exit 1; }
   jq -e '.ok == false and (.error | contains("player"))' "$SERVE_DIR/range.jsonl" >/dev/null \
     || { echo "serve: out-of-range player not rejected by name" >&2; exit 1; }
+
+  echo "-- tower-unusable add_tenant parameters: exit 2, typed error naming the field"
+  # field:request-fields. The n/m lines name an unknown kind, so a
+  # regression fails at dispatch instead of building a 2^32-row matrix.
+  for spec in 'alpha:"n":8,"m":16,"alpha":-1' 'alpha:"n":8,"m":16,"alpha":0' \
+      'alpha:"n":8,"m":16,"alpha":1.5' 'n:"n":4294967296,"m":4,"kind":"bogus"' \
+      'm:"n":4,"m":4294967296,"kind":"bogus"'; do
+    rc=0
+    printf '{"op":"add_tenant","tenant":"t",%s}\n' "${spec#*:}" \
+      | "$CLI" serve --requests=- --out="$SERVE_DIR/param.jsonl" || rc=$?
+    [[ $rc -eq 2 ]] || { echo "serve: expected exit 2 for ${spec#*:}, got $rc" >&2; exit 1; }
+    jq -e --arg f "field '${spec%%:*}'" \
+      '.op == "parse" and .ok == false and (.error | contains($f))' \
+      "$SERVE_DIR/param.jsonl" >/dev/null \
+      || { echo "serve: ${spec#*:} not rejected by name at parse" >&2; exit 1; }
+  done
+
+  echo "-- codec corpus: hostile requests answer byte for byte as committed"
+  rc=0
+  "$CLI" serve --requests="$ROOT/tools/serve_requests.codec.jsonl" \
+    --out="$SERVE_DIR/codec.jsonl" || rc=$?
+  [[ $rc -eq 2 ]] || { echo "serve: expected exit 2 for the codec corpus, got $rc" >&2; exit 1; }
+  sed 's/,"latency_us":[^,}]*//' "$SERVE_DIR/codec.jsonl" >"$SERVE_DIR/codec.norm.jsonl"
+  cmp "$ROOT/tools/serve_requests.codec.expected.jsonl" "$SERVE_DIR/codec.norm.jsonl"
 
   echo "-- thread parity: pool-chunked refine, --threads 1/4"
   for t in 1 4; do

@@ -1,9 +1,9 @@
 // tmwia_cli — command-line driver for the library.
 //
-//   tmwia_cli gen  --kind=planted --n=256 --m=256 --alpha=0.5 --radius=2 \
+//   tmwia_cli gen  --kind=planted --n=256 --m=256 --alpha=0.5 --radius=2
 //                  --seed=1 --out=world.tmw
 //   tmwia_cli info --in=world.tmw
-//   tmwia_cli run  --in=world.tmw --algo=unknown_d --alpha=0.5 \
+//   tmwia_cli run  --in=world.tmw --algo=unknown_d --alpha=0.5
 //                  --seed=2 --out=estimates.txt
 //   tmwia_cli eval --in=world.tmw --outputs=estimates.txt
 //
